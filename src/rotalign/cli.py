@@ -166,7 +166,7 @@ def _cmd_correlate(args) -> int:
 def _cmd_experiment(args) -> int:
     spec = TrialSpec(trials=args.trials, eps=args.eps, seed=args.seed,
                      coeff_bound=args.coeff_bound, max_iter=args.max_iter,
-                     threads=args.threads, coefficient_space=args.coeff_space)
+                     coefficient_space=args.coeff_space)
     report = run_campaign(spec)
     fmt = args.format
     if fmt is None:
@@ -252,7 +252,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coeff-bound", type=float, default=1.0)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--coeff-space", action="store_true",
                    help="draw basis coefficients instead of matrix entries")
     p.add_argument("--out", help="write the report here instead of stdout")

@@ -9,9 +9,9 @@ differences against the original field.  Scoring in coefficient space
 sidesteps the half-turn ambiguity of the angle itself.
 
 Randomness comes from numpy's default PCG64 generator.  Every trial
-gets its own stream seeded by (campaign seed, trial index), so reports
-are bit-reproducible for a fixed seed regardless of how trials are
-scheduled across workers.
+gets its own stream seeded by (campaign seed, trial index), so a
+trial's draw depends on nothing but its index and reports are
+bit-reproducible for a fixed seed.
 
 Detection accuracy degrades when the saddle and invariant energies of
 the drawn field differ by many orders of magnitude: the step size is
@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Decomposition, LinearField, SymmetricDomain, UNIT_SQUARE, recompose, total_rotate
+from .fields import Decomposition, LinearField, recompose, total_rotate
 from .registration import (
     DegenerateZeroFieldError,
     DetectionStatus,
@@ -52,15 +51,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """Campaign parameters; coefficient draws default to the matrix entries."""
+    """Campaign parameters; fields live on the unit square and coefficient
+    draws default to the matrix entries."""
 
     trials: int
     eps: float
     seed: int
     coeff_bound: float = 1.0
-    domain: SymmetricDomain = UNIT_SQUARE
     max_iter: int = 10000
-    threads: int = 1
     coefficient_space: bool = False
 
     def __post_init__(self):
@@ -68,8 +66,6 @@ class TrialSpec:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads!r}")
 
 
 class TrialOutcome(NamedTuple):
@@ -128,23 +124,21 @@ def report_csv_header() -> list:
             "converged_fraction", "trials", "seed"]
 
 
-def _draw_field(rng: np.random.Generator, bound: float,
-                domain: SymmetricDomain, coefficient_space: bool) -> tuple:
+def _draw_field(rng: np.random.Generator, bound: float, coefficient_space: bool) -> tuple:
     """Draw (angle, field): angle on (-pi, pi], coefficients on [-bound, bound]."""
     angle = math.pi - 2.0 * math.pi * rng.random()
     coeffs = rng.uniform(-bound, bound, size=4)
     if coefficient_space:
-        field = recompose(Decomposition(*coeffs), domain)
+        field = recompose(Decomposition(*coeffs))
     else:
-        field = LinearField(coeffs[0], coeffs[1], coeffs[2], coeffs[3], domain)
+        field = LinearField(coeffs[0], coeffs[1], coeffs[2], coeffs[3])
     return angle, field
 
 
 def run_trial(rng: np.random.Generator, eps: float, coeff_bound: float = 1.0,
-              domain: SymmetricDomain = UNIT_SQUARE, max_iter: int = 10000,
-              coefficient_space: bool = False) -> TrialOutcome:
+              max_iter: int = 10000, coefficient_space: bool = False) -> TrialOutcome:
     """One randomized draw-rotate-detect-score round."""
-    angle, field = _draw_field(rng, coeff_bound, domain, coefficient_space)
+    angle, field = _draw_field(rng, coeff_bound, coefficient_space)
     copy = total_rotate(field, angle)
     try:
         result = detect(field, copy, DetectorConfig(eps=eps, max_iter=max_iter),
@@ -160,18 +154,13 @@ def run_trial(rng: np.random.Generator, eps: float, coeff_bound: float = 1.0,
 
 def _trial_by_index(spec: TrialSpec, index: int) -> TrialOutcome:
     rng = np.random.default_rng([spec.seed, index])
-    return run_trial(rng, spec.eps, spec.coeff_bound, spec.domain,
-                     spec.max_iter, spec.coefficient_space)
+    return run_trial(rng, spec.eps, spec.coeff_bound, spec.max_iter,
+                     spec.coefficient_space)
 
 
 def run_campaign(spec: TrialSpec) -> ExperimentReport:
     """Run the whole campaign and aggregate; deterministic for a fixed seed."""
-    if spec.threads == 1:
-        outcomes = [_trial_by_index(spec, i) for i in range(spec.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            outcomes = list(pool.map(lambda i: _trial_by_index(spec, i),
-                                     range(spec.trials)))
+    outcomes = [_trial_by_index(spec, i) for i in range(spec.trials)]
 
     converged_errors = []
     all_errors = []

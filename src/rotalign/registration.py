@@ -26,7 +26,8 @@ degenerate families need special handling inside the loop:
   to pi/2.
 
 Loop equality tests ("accumulator is zero", "phi is -pi/2") are taken
-up to ``zero_tol`` because correlation arguments are floating point.
+up to ``_ZERO_TOL`` = 1e-9 because correlation arguments are floating
+point; it is fixed, and every stopping accuracy eps must exceed it.
 The loop runs on ``abs(phi) > eps``; a plain ``phi > eps`` would stop
 on the first negative reading, which is the common case.
 
@@ -72,6 +73,7 @@ __all__ = [
 
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
+_ZERO_TOL = 1e-9
 
 
 class DegenerateZeroFieldError(ValueError):
@@ -95,19 +97,17 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Stopping accuracy eps, iteration cap, and branch equality tolerance."""
+    """Stopping accuracy eps (above the 1e-9 branch tolerance) and iteration cap."""
 
     eps: float = 1e-6
     max_iter: int = 10000
-    zero_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        if not self.eps > _ZERO_TOL:
+            raise ValueError(f"eps must exceed the branch tolerance {_ZERO_TOL!r}, "
+                             f"got {self.eps!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-        if not 0.0 <= self.zero_tol < self.eps:
-            raise ValueError("zero_tol must be nonnegative and below eps")
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,26 @@ def phi_of_alpha(v: LinearField, alpha: float) -> float:
                       math.cos(2.0 * alpha) * n1 + n2)
 
 
+def _special_case(iteration: int, phi: float, alpha_acc: float, kicked: bool) -> tuple:
+    """Branch rule for the first two readings: (phi, alpha_acc, kicked, branch).
+
+    Returns its arguments unchanged with branch None when no degenerate
+    case applies; otherwise the rotation to apply, the overwritten
+    accumulator and whether the kick has happened.
+    """
+    if iteration == 1 and abs(alpha_acc) <= _ZERO_TOL:
+        # Zero first reading: aligned, rotation invariant, or a pure
+        # saddle at a quarter turn.  Kick by pi/4 to disambiguate.
+        return _QUARTER_PI, _QUARTER_PI, True, "perturb"
+    if iteration == 2 and not kicked and abs(alpha_acc) <= _ZERO_TOL:
+        # Two readings cancelled: pure saddle, offset is half the last one.
+        return 0.5 * phi, 0.5 * phi, False, "halve"
+    if iteration == 2 and kicked and abs(phi + _HALF_PI) <= _ZERO_TOL:
+        # Kicked pure saddle answered with exactly -pi/2: quarter-turn family.
+        return _QUARTER_PI, _HALF_PI, True, "lock"
+    return phi, alpha_acc, kicked, None
+
+
 def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(),
            record_trace: bool = True) -> DetectionResult:
     """Recover the total-rotation offset of pattern u against field v.
@@ -169,7 +189,6 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     au, bu, cu, d_u = du.a, du.b, du.c, du.d
 
     eps = cfg.eps
-    zero_tol = cfg.zero_tol
     max_iter = cfg.max_iter
     atan2 = math.atan2
     cos = math.cos
@@ -179,7 +198,7 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     alpha_acc = 0.0   # the loop's own accumulator; branches overwrite it
     applied = 0.0     # sum of rotations actually applied to u
     iteration = 0
-    exception = False
+    kicked = False
     trace = [] if record_trace else None
     status = None
 
@@ -197,22 +216,8 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
         alpha_acc += phi
 
         branch = None
-        if iteration == 1 and abs(alpha_acc) <= zero_tol:
-            # Zero first reading: aligned, rotation invariant, or a pure
-            # saddle at a quarter turn.  Kick by pi/4 to disambiguate.
-            alpha_acc = phi = _QUARTER_PI
-            exception = True
-            branch = "perturb"
-        elif iteration == 2 and not exception and abs(alpha_acc) <= zero_tol:
-            # Two readings cancelled: pure saddle, offset is half the last one.
-            phi = 0.5 * phi
-            alpha_acc = phi
-            branch = "halve"
-        elif iteration == 2 and exception and abs(phi + _HALF_PI) <= zero_tol:
-            # Kicked pure saddle answered with exactly -pi/2: quarter-turn family.
-            alpha_acc = _HALF_PI
-            phi = _QUARTER_PI
-            branch = "lock"
+        if iteration <= 2:
+            phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
 
         c2 = cos(2.0 * phi)
         s2 = sin(2.0 * phi)
@@ -295,7 +300,7 @@ def detect_sampled(v: SampledField, u: SampledField,
     alpha_acc = 0.0
     applied = 0.0
     iteration = 0
-    exception = False
+    kicked = False
     trace = []
     status = None
     current = u
@@ -311,18 +316,8 @@ def detect_sampled(v: SampledField, u: SampledField,
         alpha_acc += phi
 
         branch = None
-        if iteration == 1 and abs(alpha_acc) <= cfg.zero_tol:
-            alpha_acc = phi = _QUARTER_PI
-            exception = True
-            branch = "perturb"
-        elif iteration == 2 and not exception and abs(alpha_acc) <= cfg.zero_tol:
-            phi = 0.5 * phi
-            alpha_acc = phi
-            branch = "halve"
-        elif iteration == 2 and exception and abs(phi + _HALF_PI) <= cfg.zero_tol:
-            alpha_acc = _HALF_PI
-            phi = _QUARTER_PI
-            branch = "lock"
+        if iteration <= 2:
+            phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
 
         applied += phi
         current = _resample_rotated(u, applied)

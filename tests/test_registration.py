@@ -191,7 +191,7 @@ def test_detect_input_validation():
     with pytest.raises(ValueError):
         DetectorConfig(eps=0.0)
     with pytest.raises(ValueError):
-        DetectorConfig(eps=1e-6, zero_tol=1e-3)
+        DetectorConfig(eps=1e-10)  # at or below the 1e-9 branch tolerance
     with pytest.raises(ValueError):
         DetectorConfig(eps=1e-6, max_iter=0)
 
