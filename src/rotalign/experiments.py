@@ -51,8 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """Campaign parameters; fields live on the unit square and coefficient
-    draws default to the matrix entries."""
+    """Campaign parameters; fields live on the unit square, drawn by matrix entry by default."""
 
     trials: int
     eps: float

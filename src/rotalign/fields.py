@@ -95,11 +95,29 @@ class SymmetricDomain:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SymmetricDomain":
+        _require_object(d, "domain")
+        if "kind" not in d:
+            raise ValueError("domain is missing key 'kind'")
         kind = d["kind"]
-        size = d.get("l") if kind == "square" else d.get("r")
-        if size is None:
-            size = d.get("size")
-        return SymmetricDomain(kind, float(size))
+        key = "l" if kind == "square" else "r"
+        if d.get(key) is None and d.get("size") is not None:
+            key = "size"
+        return SymmetricDomain(kind, _json_number(d, key, "domain"))
+
+
+def _require_object(d, what: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+
+
+def _json_number(d: dict, key: str, what: str) -> float:
+    """d[key] as a float; a missing or non-numeric value is a ValueError naming key."""
+    if d.get(key) is None:
+        raise ValueError(f"{what} is missing key {key!r}")
+    try:
+        return float(d[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} key {key!r} is not a number: {d[key]!r}") from None
 
 
 UNIT_SQUARE = SymmetricDomain.square(1.0)
@@ -131,9 +149,10 @@ class LinearField:
 
     @staticmethod
     def from_json_dict(d: dict) -> "LinearField":
+        _require_object(d, "field")
         dom = SymmetricDomain.from_json_dict(d["domain"]) if "domain" in d else UNIT_SQUARE
-        return LinearField(float(d["a11"]), float(d["a12"]),
-                           float(d["a21"]), float(d["a22"]), dom)
+        coeffs = [_json_number(d, key, "field") for key in ("a11", "a12", "a21", "a22")]
+        return LinearField(*coeffs, dom)
 
 
 @dataclass(frozen=True)

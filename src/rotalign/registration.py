@@ -40,6 +40,7 @@ re-interpolates the copy each step and is therefore approximate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -106,7 +107,11 @@ class DetectorConfig:
         if not self.eps > _ZERO_TOL:
             raise ValueError(f"eps must exceed the branch tolerance {_ZERO_TOL!r}, "
                              f"got {self.eps!r}")
-        if self.max_iter < 1:
+        try:
+            max_iter = operator.index(self.max_iter)
+        except TypeError:
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
+        if max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
@@ -165,6 +170,18 @@ def _special_case(iteration: int, phi: float, alpha_acc: float, kicked: bool) ->
     return phi, alpha_acc, kicked, None
 
 
+def _unit_scaled(dec: Decomposition) -> tuple:
+    """(a, b, c, d, e): the coordinates times 2**-e, the largest in [0.5, 1).
+
+    A power-of-two scale is exact, so the loop reads the same angles as
+    on the raw coordinates, while its products stay in range however
+    large or small the field is as a whole.
+    """
+    _, e = math.frexp(max(abs(dec.a), abs(dec.b), abs(dec.c), abs(dec.d)))
+    ldexp = math.ldexp
+    return ldexp(dec.a, -e), ldexp(dec.b, -e), ldexp(dec.c, -e), ldexp(dec.d, -e), e
+
+
 def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(),
            record_trace: bool = True) -> DetectionResult:
     """Recover the total-rotation offset of pattern u against field v.
@@ -175,18 +192,24 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     I_A * ((au*bv - bu*av) - (cu*dv - du*cv)), and a total rotation by
     phi turns the (au, bu) pair by 2*phi while fixing (cu, du).  This is
     exactly equivalent to conjugating the coefficient matrix but much
-    cheaper per step.
+    cheaper per step.  Each field's coordinates are scaled by a power of
+    two first, so the answer is the same at any scale.
     """
     if v.is_zero():
         raise DegenerateZeroFieldError("cannot align against the zero field")
+    if u.is_zero():
+        raise DegenerateZeroFieldError("cannot align a zero pattern")
     if u.domain != v.domain:
         raise DomainMismatchError("detect needs both fields on the same domain")
 
     moment = second_moment(v.domain)
-    dv = decompose(v)
     du = decompose(u)
-    av, bv, cv, d_v = dv.a, dv.b, dv.c, dv.d
-    au, bu, cu, d_u = du.a, du.b, du.c, du.d
+    av, bv, cv, d_v, _ = _unit_scaled(decompose(v))
+    au, bu, cu, d_u, u_exp = _unit_scaled(du)
+    # Finite scaled coordinates lie in (-1, 1), so their sum is finite
+    # exactly when every coordinate is.
+    if not math.isfinite(av + bv + cv + d_v + au + bu + cu + d_u):
+        raise ValueError("detect needs finite field coefficients")
 
     eps = cfg.eps
     max_iter = cfg.max_iter
@@ -230,7 +253,8 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     if status is None:
         status = DetectionStatus.CONVERGED
 
-    corrected = recompose(Decomposition(au, bu, cu, d_u), v.domain)
+    corrected = recompose(Decomposition(math.ldexp(au, u_exp), math.ldexp(bu, u_exp),
+                                        du.c, du.d), v.domain)
     return DetectionResult(
         alpha=wrap_angle(-applied),
         iterations=iteration,
@@ -293,8 +317,12 @@ def detect_sampled(v: SampledField, u: SampledField,
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
+    if not (np.isfinite(v.values).all() and np.isfinite(u.values).all()):
+        raise ValueError("detect_sampled needs finite samples")
     if not np.any(v.values):
         raise DegenerateZeroFieldError("cannot align against the zero field")
+    if not np.any(u.values):
+        raise DegenerateZeroFieldError("cannot align a zero pattern")
 
     phi = math.pi
     alpha_acc = 0.0

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rotalign.cli import main
 
 
@@ -59,6 +61,21 @@ def test_detect_from_field_files(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["alpha"] - 0.25) <= 1e-4
+
+
+@pytest.mark.parametrize("content, named", [
+    ({"a11": 1.0, "a12": 0.0, "a21": 0.0}, "'a22'"),
+    ({"a11": 1.0, "a12": 0.0, "a21": 0.0, "a22": -1.0, "domain": {"kind": "square"}}, "'l'"),
+    ([1.0, 0.0, 0.0, -1.0], "JSON object"),
+    ({"a11": float("nan"), "a12": 0.0, "a21": 0.0, "a22": -1.0}, "finite"),
+])
+def test_detect_malformed_field_file_exits_one(tmp_path, capsys, content, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, "detect", "--field-file", str(path), "--alpha", "0.3")
+    assert code == 1
+    assert out == ""
+    assert named in err and "Traceback" not in err
 
 
 def test_detect_human_output_has_degrees(capsys):
@@ -151,6 +168,8 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "bogus")[0] == 1
     assert run_cli(capsys, "detect", "--field", "1,2,3")[0] == 1
     assert run_cli(capsys, "detect", "--alpha", "0.4")[0] == 1
+    assert run_cli(capsys, "experiment", "--trials", "5", "--eps", "0.1",
+                   "--threads", "2")[0] == 1
     assert run_cli(capsys, "sample", "--preset", "weird", "--n", "8",
                    "--out", "/tmp/x.csv")[0] == 1
 

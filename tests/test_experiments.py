@@ -32,6 +32,46 @@ def test_single_trial_campaign_repeats():
     assert r1.to_json() == r2.to_json()
 
 
+# Reports of the seeded campaigns, byte for byte: any change to the draw,
+# the detector's arithmetic or the report format shows up here.
+GOLDEN_REPORTS = {
+    0.1: """{
+  "eps": 0.1,
+  "trials": 2000,
+  "avg_error": 0.1161638632939933,
+  "max_error": 1.8069112857731828,
+  "avg_iterations": 23.7735,
+  "converged_fraction": 0.9995,
+  "seed": 42,
+  "degenerate_trials": 0,
+  "non_converged_trials": 1,
+  "avg_error_all": 0.11638888219749671,
+  "max_error_all": 1.8069112857731828
+}
+""",
+    0.001: """{
+  "eps": 0.001,
+  "trials": 2000,
+  "avg_error": 0.002830944279747879,
+  "max_error": 1.3875240314252504,
+  "avg_iterations": 61.391,
+  "converged_fraction": 0.999,
+  "seed": 42,
+  "degenerate_trials": 0,
+  "non_converged_trials": 2,
+  "avg_error_all": 0.003112472318989269,
+  "max_error_all": 1.3875240314252504
+}
+""",
+}
+
+
+@pytest.mark.parametrize("eps", sorted(GOLDEN_REPORTS))
+def test_campaign_report_is_pinned(eps):
+    report = run_campaign(TrialSpec(trials=2000, eps=eps, seed=42))
+    assert report.to_json() == GOLDEN_REPORTS[eps]
+
+
 def test_run_trial_reports_outcome_shape():
     rng = np.random.default_rng(9)
     outcome = run_trial(rng, eps=0.01)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rotalign import (
     Decomposition,
@@ -10,6 +12,7 @@ from rotalign import (
     DetectorConfig,
     DomainMismatchError,
     LinearField,
+    SampledField,
     UNIT_DISK,
     correlate_linear,
     detect,
@@ -39,6 +42,16 @@ def random_field_with_ratio_floor(rng, floor: float) -> LinearField:
         n1, n2 = field_norms(f)
         if max(n1, n2) > 0 and min(n1, n2) >= floor * max(n1, n2):
             return f
+
+
+def scaled(f: LinearField, k: float) -> LinearField:
+    return LinearField(*(k * c for c in f.coefficients()), f.domain)
+
+
+# Fields with saddle/invariant energy ratio in [0.1, 10], drawn from a seed.
+balanced_fields = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_field_with_ratio_floor(np.random.default_rng(seed), 0.1))
+offsets = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
 # ---------------------------------------------------------------- phi map
@@ -186,6 +199,13 @@ def test_detect_scale_invariance():
 def test_detect_input_validation():
     with pytest.raises(DegenerateZeroFieldError):
         detect(LinearField(0.0, 0.0, 0.0, 0.0), saddle(), DetectorConfig(eps=1e-6))
+    with pytest.raises(DegenerateZeroFieldError):
+        detect(saddle(), LinearField(0.0, 0.0, 0.0, 0.0), DetectorConfig(eps=1e-6))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            detect(LinearField(bad, 0.0, 0.0, 1.0), saddle())
+        with pytest.raises(ValueError):
+            detect(saddle(), LinearField(0.3, bad, 0.0, 1.0))
     with pytest.raises(DomainMismatchError):
         detect(saddle(), saddle(UNIT_DISK), DetectorConfig(eps=1e-6))
     with pytest.raises(ValueError):
@@ -194,6 +214,61 @@ def test_detect_input_validation():
         DetectorConfig(eps=1e-10)  # at or below the 1e-9 branch tolerance
     with pytest.raises(ValueError):
         DetectorConfig(eps=1e-6, max_iter=0)
+    with pytest.raises(ValueError):
+        DetectorConfig(eps=1e-6, max_iter=2.5)
+    assert DetectorConfig(max_iter=np.int64(5)).max_iter == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(balanced_fields, offsets, st.integers(-1000, 1000))
+def test_detect_power_of_two_scale_invariance(v, theta, j):
+    u = total_rotate(v, theta)
+    cfg = DetectorConfig(eps=1e-8)
+    r1 = detect(v, u, cfg, record_trace=False)
+    r2 = detect(scaled(v, 2.0 ** j), scaled(u, 2.0 ** j), cfg, record_trace=False)
+    assert r2.converged()
+    assert r2.alpha == r1.alpha
+    assert r2.iterations == r1.iterations
+
+
+@settings(max_examples=200, deadline=None)
+@given(balanced_fields, offsets, st.integers(-300, 300), st.floats(1.0, 9.999))
+def test_detect_decimal_scale_invariance(v, theta, exponent, mantissa):
+    k = float(f"{mantissa!r}e{exponent}")
+    eps = 1e-8
+    u = total_rotate(v, theta)
+    r1 = detect(v, u, DetectorConfig(eps=eps), record_trace=False)
+    r2 = detect(scaled(v, k), scaled(u, k), DetectorConfig(eps=eps), record_trace=False)
+    assert r2.converged()
+    assert angle_distance_mod_pi(r2.alpha, r1.alpha) <= 10 * eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(balanced_fields, offsets)
+def test_detect_swapping_fields_negates_offset(v, theta):
+    # Off the kick branch (which always turns the same way) the swapped
+    # run mirrors every step of the original one.
+    assume(angle_distance_mod_pi(theta, 0.0) > 1e-6)
+    u = total_rotate(v, theta)
+    cfg = DetectorConfig(eps=1e-8)
+    forward = detect(v, u, cfg, record_trace=False)
+    backward = detect(u, v, cfg, record_trace=False)
+    assert angle_distance_mod_pi(backward.alpha, -forward.alpha) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(balanced_fields, offsets, offsets)
+def test_detect_is_rotation_equivariant(v, theta, s):
+    # Each run stops within eps*|1 - g|/g <= 4.5*eps of its offset, where
+    # g = 2*n1/(n1 + n2) >= 0.18 is the loop's gain, so two runs differ
+    # by at most 9*eps.
+    eps = 1e-8
+    cfg = DetectorConfig(eps=eps)
+    u = total_rotate(v, theta)
+    base = detect(v, u, cfg, record_trace=False)
+    turned = detect(v, total_rotate(u, s), cfg, record_trace=False)
+    assert turned.converged()
+    assert angle_distance_mod_pi(turned.alpha, base.alpha + s) <= 10 * eps
 
 
 def test_detect_converges_for_bounded_ratio_instances():
@@ -287,6 +362,13 @@ def test_detect_sampled_validation():
     zero = LinearField(0.0, 0.0, 0.0, 0.0)
     with pytest.raises(DegenerateZeroFieldError):
         detect_sampled(sample(zero, 32), sample(zero, 32), DetectorConfig(eps=1e-4))
+    with pytest.raises(DegenerateZeroFieldError):
+        detect_sampled(sample(v, 32), sample(zero, 32), DetectorConfig(eps=1e-4))
+    s = sample(v, 32)
+    values = s.values.copy()
+    values[16, 16, 0] = math.nan
+    with pytest.raises(ValueError):
+        detect_sampled(s, SampledField(s.n, s.domain, values, s.mask))
 
 
 def test_wrap_angle_used_for_result():
