@@ -30,9 +30,9 @@ from .fields import (
     DomainMismatchError,
     LinearField,
     SampledField,
-    SymmetricDomain,
     decompose,
     eval_field,
+    second_moment,
 )
 from .multivector import Multivector2, gp, reverse
 
@@ -65,18 +65,6 @@ class CorrelationValue:
             argument=math.atan2(value.b, value.s),
             magnitude=math.hypot(value.s, value.b),
         )
-
-
-def second_moment(domain: SymmetricDomain) -> float:
-    """I_A = integral over the domain of x1^2 + x2^2.
-
-    Square of half side l: 8*l^4/3.  Disk of radius r: pi*r^4/2.
-    """
-    if domain.kind == "square":
-        length = domain.size
-        return 8.0 * length ** 4 / 3.0
-    r = domain.size
-    return math.pi * r ** 4 / 2.0
 
 
 def field_norms(field: LinearField) -> tuple:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -30,6 +31,7 @@ from .multivector import Multivector2
 
 __all__ = [
     "SymmetricDomain",
+    "second_moment",
     "LinearField",
     "Decomposition",
     "SampledField",
@@ -66,6 +68,15 @@ class SymmetricDomain:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if not (math.isfinite(self.size) and self.size > 0.0):
             raise ValueError(f"domain size must be finite and positive, got {self.size!r}")
+        # Detection multiplies the moment by sums below 4 in magnitude, and
+        # a subnormal moment would cost its readings their precision.
+        try:
+            moment = second_moment(self)
+        except OverflowError:
+            moment = math.inf
+        if not (moment >= sys.float_info.min and math.isfinite(4.0 * moment)):
+            raise ValueError(f"domain size {self.size!r} gives second moment {moment!r}, "
+                             f"outside the range detection can represent")
 
     @staticmethod
     def square(half_side: float) -> "SymmetricDomain":
@@ -103,6 +114,18 @@ class SymmetricDomain:
         if d.get(key) is None and d.get("size") is not None:
             key = "size"
         return SymmetricDomain(kind, _json_number(d, key, "domain"))
+
+
+def second_moment(domain: SymmetricDomain) -> float:
+    """I_A = integral over the domain of x1^2 + x2^2.
+
+    Square of half side l: 8*l^4/3.  Disk of radius r: pi*r^4/2.
+    """
+    if domain.kind == "square":
+        length = domain.size
+        return 8.0 * length ** 4 / 3.0
+    r = domain.size
+    return math.pi * r ** 4 / 2.0
 
 
 def _require_object(d, what: str) -> None:

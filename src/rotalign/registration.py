@@ -43,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -264,48 +264,60 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     )
 
 
-def _resample_rotated(original: SampledField, theta: float) -> SampledField:
-    """Total-rotate a sampled field by theta via bilinear resampling.
+_BLOCK_ROWS = 32  # rows resampled per pass, so the temporaries stay in cache
+
+
+def _resampler(original: SampledField) -> Callable[[float], SampledField]:
+    """Prepare ``rotate(theta)``: total-rotate a sampled field by bilinear resampling.
 
     Values are looked up at the back-rotated positions and then rotated
     forward; positions falling outside the sample grid contribute zero.
+    The components are copied once into zero planes with a two-cell
+    margin, and floored cell indices are clipped to [-2, n]: a clipped
+    corner then lands in the margin, so every lookup is a plain gather.
     Approximate by nature, unlike the linear-field path.
     """
     n = original.n
     length = original.domain.bounding_half_side
     h = 2.0 * length / n
     centers = original.centers()
-    x1, x2 = np.meshgrid(centers, centers, indexing="xy")
+    width = n + 4
+    planes = np.zeros((2, width, width))
+    planes[:, 2:n + 2, 2:n + 2] = np.moveaxis(original.values, 2, 0)
+    plane1 = planes[0].ravel()
+    plane2 = planes[1].ravel()
+    outside = ~original.mask
 
-    c = math.cos(theta)
-    s = math.sin(theta)
-    p1 = c * x1 + s * x2   # R(-theta) x
-    p2 = -s * x1 + c * x2
+    def rotate(theta: float) -> SampledField:
+        c = math.cos(theta)
+        s = math.sin(theta)
+        cx1 = c * centers[None, :]   # R(-theta) x, the x1 terms
+        sx1 = -s * centers[None, :]
+        rotated = np.empty((n, n, 2))
+        for r in range(0, n, _BLOCK_ROWS):
+            x2 = centers[r:r + _BLOCK_ROWS, None]
+            fx = (cx1 + s * x2 + length) / h - 0.5
+            fy = (sx1 + c * x2 + length) / h - 0.5
+            ix0 = np.floor(fx)
+            iy0 = np.floor(fy)
+            tx = fx - ix0
+            ty = fy - iy0
+            i00 = ((np.clip(iy0, -2, n) + 2) * width
+                   + np.clip(ix0, -2, n) + 2).astype(np.intp)
+            w00 = (1 - tx) * (1 - ty)
+            w01 = tx * (1 - ty)
+            w10 = (1 - tx) * ty
+            w11 = tx * ty
+            interp = [w00 * plane.take(i00) + w01 * plane.take(i00 + 1)
+                      + w10 * plane.take(i00 + width) + w11 * plane.take(i00 + width + 1)
+                      for plane in (plane1, plane2)]
+            block = rotated[r:r + _BLOCK_ROWS]
+            block[:, :, 0] = c * interp[0] - s * interp[1]
+            block[:, :, 1] = s * interp[0] + c * interp[1]
+        rotated[outside] = 0.0
+        return SampledField(n, original.domain, rotated, original.mask)
 
-    fx = (p1 + length) / h - 0.5
-    fy = (p2 + length) / h - 0.5
-    ix0 = np.floor(fx).astype(int)
-    iy0 = np.floor(fy).astype(int)
-    tx = fx - ix0
-    ty = fy - iy0
-
-    def gather(iy, ix):
-        valid = (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
-        iyc = np.clip(iy, 0, n - 1)
-        ixc = np.clip(ix, 0, n - 1)
-        vals = original.values[iyc, ixc, :]
-        return np.where(valid[..., None], vals, 0.0)
-
-    interp = ((1 - tx)[..., None] * (1 - ty)[..., None] * gather(iy0, ix0)
-              + tx[..., None] * (1 - ty)[..., None] * gather(iy0, ix0 + 1)
-              + (1 - tx)[..., None] * ty[..., None] * gather(iy0 + 1, ix0)
-              + tx[..., None] * ty[..., None] * gather(iy0 + 1, ix0 + 1))
-
-    rotated = np.empty_like(interp)
-    rotated[:, :, 0] = c * interp[:, :, 0] - s * interp[:, :, 1]
-    rotated[:, :, 1] = s * interp[:, :, 0] + c * interp[:, :, 1]
-    rotated[~original.mask] = 0.0
-    return SampledField(n, original.domain, rotated, original.mask)
+    return rotate
 
 
 def detect_sampled(v: SampledField, u: SampledField,
@@ -313,16 +325,25 @@ def detect_sampled(v: SampledField, u: SampledField,
     """Grid-backed detection: same loop, quadrature correlation, resampled copy.
 
     The copy is always re-interpolated from the original samples at the
-    accumulated angle, so interpolation error does not compound.
+    accumulated angle, so interpolation error does not compound.  Like
+    ``detect``, it scales each field by a power of two first, so the
+    answer is the same at any scale; ``corrected`` is scaled back.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
-    if not (np.isfinite(v.values).all() and np.isfinite(u.values).all()):
+    v_peak = float(np.abs(v.values).max())
+    u_peak = float(np.abs(u.values).max())
+    if not (math.isfinite(v_peak) and math.isfinite(u_peak)):
         raise ValueError("detect_sampled needs finite samples")
-    if not np.any(v.values):
+    if v_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align against the zero field")
-    if not np.any(u.values):
+    if u_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align a zero pattern")
+    _, v_exp = math.frexp(v_peak)
+    _, u_exp = math.frexp(u_peak)
+    v = SampledField(v.n, v.domain, np.ldexp(v.values, -v_exp), v.mask)
+    current = SampledField(u.n, u.domain, np.ldexp(u.values, -u_exp), u.mask)
+    rotate = _resampler(current)
 
     phi = math.pi
     alpha_acc = 0.0
@@ -331,7 +352,6 @@ def detect_sampled(v: SampledField, u: SampledField,
     kicked = False
     trace = []
     status = None
-    current = u
 
     while abs(phi) > cfg.eps:
         if iteration == cfg.max_iter:
@@ -348,7 +368,7 @@ def detect_sampled(v: SampledField, u: SampledField,
             phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
 
         applied += phi
-        current = _resample_rotated(u, applied)
+        current = rotate(applied)
         trace.append(TraceEntry(iteration, phi, alpha_acc, branch))
 
     if status is None:
@@ -359,7 +379,7 @@ def detect_sampled(v: SampledField, u: SampledField,
         iterations=iteration,
         trace=tuple(trace),
         status=status,
-        corrected=current,
+        corrected=SampledField(u.n, u.domain, np.ldexp(current.values, u_exp), u.mask),
     )
 
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rotalign
 from rotalign.cli import main
 
 
@@ -76,6 +79,17 @@ def test_detect_malformed_field_file_exits_one(tmp_path, capsys, content, named)
     assert code == 1
     assert out == ""
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain", ["square:1e80", "square:1e77", "square:1e-80"])
+def test_detect_unrepresentable_domain_exits_one(capsys, domain):
+    # The domain's second moment would overflow, or underflow to a
+    # subnormal that costs the readings their precision.
+    code, out, err = run_cli(capsys, "detect", "--field", "0.4,-0.2,0.9,0.3",
+                             "--alpha", "0.3", "--domain", domain)
+    assert code == 1
+    assert out == ""
+    assert "second moment" in err and "Traceback" not in err
 
 
 def test_detect_human_output_has_degrees(capsys):
@@ -175,9 +189,12 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_console_script_entry_point():
+    # The child imports the same rotalign as this process, installed or not.
+    package_root = str(Path(rotalign.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rotalign.cli", "decompose", "--field",
          "3,0,0,1", "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"a": 1.0, "b": 0.0, "c": 2.0, "d": 0.0}

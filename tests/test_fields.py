@@ -253,6 +253,16 @@ def test_domain_validation():
         SymmetricDomain("triangle", 1.0)
     with pytest.raises(ValueError):
         SymmetricDomain.square(-2.0)
+    for size in (1e80, 1e77, 1e-80, 1e-78):
+        with pytest.raises(ValueError, match="second moment"):
+            SymmetricDomain.square(size)
+        with pytest.raises(ValueError, match="second moment"):
+            SymmetricDomain.disk(size)
+    with pytest.raises(ValueError, match="second moment"):
+        SymmetricDomain.square(6.6e76)  # finite moment, but four times it overflows
+    for size in (6e76, 1e-76):
+        SymmetricDomain.square(size)
+        SymmetricDomain.disk(size)
     d = SymmetricDomain.disk(0.5)
     assert d.contains(0.3, 0.3)
     assert not d.contains(0.4, 0.4)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from rotalign import (
     DomainMismatchError,
     LinearField,
     SampledField,
+    SymmetricDomain,
     UNIT_DISK,
     correlate_linear,
     detect,
@@ -29,6 +32,7 @@ from rotalign import (
     vortex,
     wrap_angle,
 )
+from rotalign.registration import _resampler
 
 
 def angle_distance_mod_pi(a: float, b: float) -> float:
@@ -369,6 +373,102 @@ def test_detect_sampled_validation():
     values[16, 16, 0] = math.nan
     with pytest.raises(ValueError):
         detect_sampled(s, SampledField(s.n, s.domain, values, s.mask))
+
+
+def _resample_rotated(original: SampledField, theta: float) -> SampledField:
+    """Total-rotate a sampled field by theta via bilinear resampling.
+
+    Values are looked up at the back-rotated positions and then rotated
+    forward; positions falling outside the sample grid contribute zero.
+    Approximate by nature, unlike the linear-field path.
+    """
+    n = original.n
+    length = original.domain.bounding_half_side
+    h = 2.0 * length / n
+    centers = original.centers()
+    x1, x2 = np.meshgrid(centers, centers, indexing="xy")
+
+    c = math.cos(theta)
+    s = math.sin(theta)
+    p1 = c * x1 + s * x2   # R(-theta) x
+    p2 = -s * x1 + c * x2
+
+    fx = (p1 + length) / h - 0.5
+    fy = (p2 + length) / h - 0.5
+    ix0 = np.floor(fx).astype(int)
+    iy0 = np.floor(fy).astype(int)
+    tx = fx - ix0
+    ty = fy - iy0
+
+    def gather(iy, ix):
+        valid = (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
+        iyc = np.clip(iy, 0, n - 1)
+        ixc = np.clip(ix, 0, n - 1)
+        vals = original.values[iyc, ixc, :]
+        return np.where(valid[..., None], vals, 0.0)
+
+    interp = ((1 - tx)[..., None] * (1 - ty)[..., None] * gather(iy0, ix0)
+              + tx[..., None] * (1 - ty)[..., None] * gather(iy0, ix0 + 1)
+              + (1 - tx)[..., None] * ty[..., None] * gather(iy0 + 1, ix0)
+              + tx[..., None] * ty[..., None] * gather(iy0 + 1, ix0 + 1))
+
+    rotated = np.empty_like(interp)
+    rotated[:, :, 0] = c * interp[:, :, 0] - s * interp[:, :, 1]
+    rotated[:, :, 1] = s * interp[:, :, 0] + c * interp[:, :, 1]
+    rotated[~original.mask] = 0.0
+    return SampledField(n, original.domain, rotated, original.mask)
+
+
+@pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), SymmetricDomain.disk(2.5)])
+@pytest.mark.parametrize("n", [8, 33, 64])
+def test_resampler_matches_reference_bit_for_bit(domain, n):
+    # Random values in every cell, masked or not, so each corner lookup
+    # counts; n = 33 leaves a partial row block.  At 0.3 and pi/4 the
+    # grid's corner cells look up 0.25 and 0.41 half sides outside it,
+    # 4 to 13 cells for n >= 33: beyond the two-cell margin.
+    rng = np.random.default_rng(n)
+    f = SampledField(n, domain, rng.uniform(-1, 1, (n, n, 2)),
+                     sample(LinearField(1.0, 0.0, 0.0, 1.0, domain), n).mask)
+    rotate = _resampler(f)
+    for theta in (0.0, 0.3, -0.3, math.pi / 4, math.pi / 2, -math.pi / 2, 2.5, math.pi):
+        assert np.array_equal(rotate(theta).values, _resample_rotated(f, theta).values)
+
+
+@pytest.mark.parametrize("domain, theta, alpha, digest", [
+    (SymmetricDomain.square(1.0), 0.7, 0.7000016576005531,
+     "234ebf461bd707795f617a74799bc80a2d2e56d3cbe97c137d8982700ded26e6"),
+    (UNIT_DISK, -0.7, -0.7000012883964846,
+     "2dcfc0ac2f380f920e2c1ccc0c871e25a91317a038d56fe5824ea38f355c9a83"),
+])
+def test_detect_sampled_is_pinned(domain, theta, alpha, digest):
+    # The answers the reference resampler produced, bit for bit.
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
+    result = detect_sampled(sample(v, 64), sample(total_rotate(v, theta), 64),
+                            DetectorConfig(eps=1e-6))
+    assert repr(result.alpha) == repr(alpha)
+    assert result.iterations == 8
+    assert hashlib.sha256(result.corrected.values.tobytes()).hexdigest() == digest
+
+
+def test_detect_sampled_scale_invariance():
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    u = total_rotate(v, 0.3)
+    cfg = DetectorConfig(eps=1e-6)
+    base = detect_sampled(sample(v, 32), sample(u, 32), cfg)
+    assert base.converged()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1e200, 1e-200):
+            r = detect_sampled(sample(scaled(v, k), 32), sample(scaled(u, k), 32), cfg)
+            assert r.converged()
+            assert abs(r.alpha - base.alpha) <= 1e-9
+        for j in (-1000, -3, 5, 1000):
+            k = 2.0 ** j
+            r = detect_sampled(sample(scaled(v, k), 32), sample(scaled(u, k), 32), cfg)
+            assert r.alpha == base.alpha
+            assert r.iterations == base.iterations
+            assert r.trace == base.trace
+            assert np.array_equal(r.corrected.values, base.corrected.values * k)
 
 
 def test_wrap_angle_used_for_result():
