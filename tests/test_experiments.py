@@ -32,10 +32,12 @@ def test_single_trial_campaign_repeats():
     assert r1.to_json() == r2.to_json()
 
 
-# Reports of the seeded campaigns, byte for byte: any change to the draw,
-# the detector's arithmetic or the report format shows up here.
-GOLDEN_REPORTS = {
-    0.1: """{
+# Reports of seeded campaigns, byte for byte: any change to the draw, the
+# detector's arithmetic or the report format shows up here.  The max_iter=5
+# pair caps trials in both parts of run_campaign: 564 of 2000 are still
+# active at the cap (the array loop), 105 of 300 (the scalar tail).
+GOLDEN_REPORTS = [
+    (dict(trials=2000, eps=0.1, seed=42), """{
   "eps": 0.1,
   "trials": 2000,
   "avg_error": 0.1161638632939933,
@@ -48,8 +50,8 @@ GOLDEN_REPORTS = {
   "avg_error_all": 0.11638888219749671,
   "max_error_all": 1.8069112857731828
 }
-""",
-    0.001: """{
+"""),
+    (dict(trials=2000, eps=0.001, seed=42), """{
   "eps": 0.001,
   "trials": 2000,
   "avg_error": 0.002830944279747879,
@@ -62,14 +64,77 @@ GOLDEN_REPORTS = {
   "avg_error_all": 0.003112472318989269,
   "max_error_all": 1.3875240314252504
 }
-""",
+"""),
+    (dict(trials=2000, eps=1e-05, seed=42), """{
+  "eps": 1e-05,
+  "trials": 2000,
+  "avg_error": 1.5536415612239667e-05,
+  "max_error": 0.00048333147772384555,
+  "avg_iterations": 106.0265,
+  "converged_fraction": 0.9985,
+  "seed": 42,
+  "degenerate_trials": 0,
+  "non_converged_trials": 3,
+  "avg_error_all": 0.00030003509409541146,
+  "max_error_all": 0.5662016703008499
 }
+"""),
+    (dict(trials=2000, eps=0.001, seed=42, coefficient_space=True), """{
+  "eps": 0.001,
+  "trials": 2000,
+  "avg_error": 0.002159639901256261,
+  "max_error": 1.9503383500178266,
+  "avg_iterations": 21.385,
+  "converged_fraction": 1.0,
+  "seed": 42,
+  "degenerate_trials": 0,
+  "non_converged_trials": 0,
+  "avg_error_all": 0.002159639901256261,
+  "max_error_all": 1.9503383500178266
+}
+"""),
+    (dict(trials=2000, eps=0.1, seed=42, max_iter=5), """{
+  "eps": 0.1,
+  "trials": 2000,
+  "avg_error": 0.12801125336316804,
+  "max_error": 1.8069112857731828,
+  "avg_iterations": 3.2435,
+  "converged_fraction": 0.718,
+  "seed": 42,
+  "degenerate_trials": 0,
+  "non_converged_trials": 564,
+  "avg_error_all": 0.32662167137923387,
+  "max_error_all": 3.631677983370642
+}
+"""),
+    (dict(trials=300, eps=0.1, seed=42, max_iter=5), """{
+  "eps": 0.1,
+  "trials": 300,
+  "avg_error": 0.1230143639902201,
+  "max_error": 1.183492966776901,
+  "avg_iterations": 3.243333333333333,
+  "converged_fraction": 0.74,
+  "seed": 42,
+  "degenerate_trials": 0,
+  "non_converged_trials": 78,
+  "avg_error_all": 0.32693198274141366,
+  "max_error_all": 2.9422706426846483
+}
+"""),
+]
 
 
-@pytest.mark.parametrize("eps", sorted(GOLDEN_REPORTS))
-def test_campaign_report_is_pinned(eps):
-    report = run_campaign(TrialSpec(trials=2000, eps=eps, seed=42))
-    assert report.to_json() == GOLDEN_REPORTS[eps]
+def _golden_id(spec: dict) -> str:
+    """eps, then whatever differs from 2000 trials at seed 42."""
+    extra = {k: v for k, v in spec.items() if k != "eps" and (k, v) not in
+             (("trials", 2000), ("seed", 42))}
+    return "-".join([repr(spec["eps"])] + [f"{k}={v}" for k, v in extra.items()])
+
+
+@pytest.mark.parametrize("spec, expected", GOLDEN_REPORTS,
+                         ids=[_golden_id(spec) for spec, _ in GOLDEN_REPORTS])
+def test_campaign_report_is_pinned(spec, expected):
+    assert run_campaign(TrialSpec(**spec)).to_json() == expected
 
 
 def test_run_trial_reports_outcome_shape():
