@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .correlation import correlate_linear, correlate_sampled
 from .experiments import TrialSpec, report_csv_header, run_campaign
 from .fields import (
@@ -147,16 +149,19 @@ def _cmd_decompose(args) -> int:
 def _cmd_correlate(args) -> int:
     field = _field_from_args(args)
     pattern = _counterpart_from_args(args, field, rotation=args.rotation)
-    if args.n:
-        cor = correlate_sampled(sample(pattern, args.n), sample(field, args.n))
-    else:
-        cor = correlate_linear(pattern, field)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.n:
+            cor = correlate_sampled(sample(pattern, args.n), sample(field, args.n))
+        else:
+            cor = correlate_linear(pattern, field)
+    v = cor.value
+    if not all(map(math.isfinite, (v.s, v.x, v.y, v.b, cor.magnitude))):
+        raise ValueError("the correlation leaves the float range at these coefficients")
     if args.json:
         print(json.dumps({"value": cor.value.to_json_dict(),
                           "argument": cor.argument,
                           "magnitude": cor.magnitude}))
     else:
-        v = cor.value
         print(f"value: {v.s:.12g} + {v.x:.12g} e1 + {v.y:.12g} e2 + {v.b:.12g} e12")
         _print_angle("argument", cor.argument)
         print(f"magnitude: {cor.magnitude:.12g}")

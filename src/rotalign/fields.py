@@ -250,20 +250,17 @@ def total_rotate(field: LinearField, alpha: float) -> LinearField:
     both axes is all the correlation identities need, and the square is
     re-used as the support of the rotated field by convention).
     """
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    a11, a12, a21, a22 = field.coefficients()
+    return LinearField(*_conjugate(math.cos(alpha), math.sin(alpha), *field.coefficients()),
+                       field.domain)
+
+
+def _conjugate(c, s, a11, a12, a21, a22) -> tuple:
+    """The entries of R A R^T with R = [[c, -s], [s, c]], for floats or arrays alike."""
     r11 = c * a11 - s * a21
     r12 = c * a12 - s * a22
     r21 = s * a11 + c * a21
     r22 = s * a12 + c * a22
-    return LinearField(
-        r11 * c - r12 * s,
-        r11 * s + r12 * c,
-        r21 * c - r22 * s,
-        r21 * s + r22 * c,
-        field.domain,
-    )
+    return r11 * c - r12 * s, r11 * s + r12 * c, r21 * c - r22 * s, r21 * s + r22 * c
 
 
 def outer_rotate(field: LinearField, alpha: float) -> LinearField:

@@ -182,6 +182,52 @@ def _unit_scaled(dec: Decomposition) -> tuple:
     return ldexp(dec.a, -e), ldexp(dec.b, -e), ldexp(dec.c, -e), ldexp(dec.d, -e), e
 
 
+def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
+             cc: float, dd: float, cross: float, eps: float, max_iter: int,
+             phi: float = math.pi, alpha_acc: float = 0.0, applied: float = 0.0,
+             iteration: int = 0, kicked: bool = False, trace: Optional[list] = None) -> tuple:
+    """``detect``'s loop, run from the given state to its stop.
+
+    (av, bv) and (au, bu) are the scaled saddle coordinates of the field
+    and of the pattern; cc = cu*cv, dd = du*dv and cross = cu*dv - du*cv
+    are the loop-invariant terms of the source/vortex pair, taken out of
+    the loop without changing a bit.  ``alpha_acc`` is the loop's own
+    accumulator, which the branches overwrite; ``applied`` is the sum of
+    the rotations actually applied to the pattern.  Entries are appended
+    to ``trace`` when one is given.  Returns (au, bu, applied, iteration,
+    capped).
+    """
+    atan2 = math.atan2
+    cos = math.cos
+    sin = math.sin
+
+    while abs(phi) > eps:
+        if iteration == max_iter:
+            return au, bu, applied, iteration, True
+        iteration += 1
+
+        cor_s = moment * (au * av + bu * bv + cc + dd)
+        cor_b = moment * ((au * bv - bu * av) - cross)
+        # atan2(0, 0) == 0: a vanishing correlation reads as angle zero,
+        # which hands the degenerate-start cases to the first branch.
+        phi = atan2(cor_b, cor_s)
+        alpha_acc += phi
+
+        branch = None
+        if iteration <= 2:
+            phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
+
+        c2 = cos(2.0 * phi)
+        s2 = sin(2.0 * phi)
+        au, bu = au * c2 - bu * s2, au * s2 + bu * c2
+        applied += phi
+
+        if trace is not None:
+            trace.append(TraceEntry(iteration, phi, alpha_acc, branch))
+
+    return au, bu, applied, iteration, False
+
+
 def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(),
            record_trace: bool = True) -> DetectionResult:
     """Recover the total-rotation offset of pattern u against field v.
@@ -211,47 +257,12 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     if not math.isfinite(av + bv + cv + d_v + au + bu + cu + d_u):
         raise ValueError("detect needs finite field coefficients")
 
-    eps = cfg.eps
-    max_iter = cfg.max_iter
-    atan2 = math.atan2
-    cos = math.cos
-    sin = math.sin
-
-    phi = math.pi
-    alpha_acc = 0.0   # the loop's own accumulator; branches overwrite it
-    applied = 0.0     # sum of rotations actually applied to u
-    iteration = 0
-    kicked = False
     trace = [] if record_trace else None
-    status = None
-
-    while abs(phi) > eps:
-        if iteration == max_iter:
-            status = DetectionStatus.MAX_ITER_EXCEEDED
-            break
-        iteration += 1
-
-        cor_s = moment * (au * av + bu * bv + cu * cv + d_u * d_v)
-        cor_b = moment * ((au * bv - bu * av) - (cu * d_v - d_u * cv))
-        # atan2(0, 0) == 0: a vanishing correlation reads as angle zero,
-        # which hands the degenerate-start cases to the first branch.
-        phi = atan2(cor_b, cor_s)
-        alpha_acc += phi
-
-        branch = None
-        if iteration <= 2:
-            phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
-
-        c2 = cos(2.0 * phi)
-        s2 = sin(2.0 * phi)
-        au, bu = au * c2 - bu * s2, au * s2 + bu * c2
-        applied += phi
-
-        if record_trace:
-            trace.append(TraceEntry(iteration, phi, alpha_acc, branch))
-
-    if status is None:
-        status = DetectionStatus.CONVERGED
+    au, bu, applied, iteration, capped = _iterate(
+        moment, av, bv, au, bu, cu * cv, d_u * d_v, cu * d_v - d_u * cv,
+        cfg.eps, cfg.max_iter, trace=trace)
+    status = (DetectionStatus.MAX_ITER_EXCEEDED if capped
+              else DetectionStatus.CONVERGED)
 
     corrected = recompose(Decomposition(math.ldexp(au, u_exp), math.ldexp(bu, u_exp),
                                         du.c, du.d), v.domain)

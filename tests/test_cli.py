@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,18 @@ def test_correlate_sampled_backend(capsys):
     assert abs(payload["argument"] - exact["argument"]) <= 1e-3
 
 
+@pytest.mark.parametrize("n", [None, "16"])
+def test_correlate_non_finite_value_exits_one(capsys, n):
+    # The value overflows; its argument would read -pi/4 instead of -0.6.
+    argv = ["correlate", "--field", "1e200,0,0,-1e200", "--alpha", "0.3", "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, *(["--n", n] if n else []))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rotalign: error:") and err.count("\n") == 1
+
+
 def test_experiment_round_trips_and_is_reproducible(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -154,6 +167,37 @@ def test_experiment_csv_format(tmp_path, capsys):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("eps,avg_error,max_error,avg_iterations")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--coeff-bound", "inf"), ("--coeff-bound", "nan"), ("--coeff-bound", "-1"),
+    ("--coeff-bound", "0"), ("--coeff-bound", "1e308"), ("--seed", "-1"),
+    ("--eps", "1e-10"), ("--max-iter", "0"),
+])
+def test_experiment_invalid_spec_exits_one(tmp_path, capsys, option, value):
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(capsys, "experiment", "--trials", "5", "--eps", "0.1",
+                                option, value, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("rotalign: error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_experiment_report_is_strict_json(tmp_path, capsys):
+    # Every trial is capped, so the converged-only statistics are undefined.
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "experiment", "--trials", "5", "--eps", "1e-8",
+                         "--max-iter", "1", "--out", str(path))
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(path.read_text(), parse_constant=reject)
+    assert payload["avg_error"] is None and payload["max_error"] is None
+    assert payload["non_converged_trials"] == 5
+    assert payload["avg_error_all"] > 0.0
 
 
 def test_sample_counterexample_preset(tmp_path, capsys):

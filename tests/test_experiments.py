@@ -17,7 +17,13 @@ from rotalign import (
     run_trial,
     total_rotate,
 )
-from rotalign.experiments import report_csv_header
+from rotalign import experiments
+from rotalign.experiments import (
+    _draw_field,
+    _outcomes,
+    _trial_draws,
+    report_csv_header,
+)
 
 
 def test_campaign_is_deterministic():
@@ -186,8 +192,6 @@ def test_error_decreases_and_iterations_increase_with_accuracy():
 
 def test_capped_trials_have_extreme_energy_ratio():
     # runs that hit the iteration cap come from near-degenerate draws
-    from rotalign.experiments import _draw_field
-
     spec = TrialSpec(trials=4000, eps=0.001, seed=42)
     capped = 0
     for index in range(spec.trials):
@@ -226,7 +230,76 @@ def test_report_invariants():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        TrialSpec(trials=0, eps=0.01, seed=1)
-    with pytest.raises(ValueError):
-        TrialSpec(trials=10, eps=-1.0, seed=1)
+    for changes in (dict(trials=0), dict(trials=2.5), dict(trials=2 ** 32 + 1),
+                    dict(eps=-1.0), dict(eps=1e-10), dict(max_iter=0), dict(max_iter=2.5),
+                    dict(seed=-1), dict(seed=1.5),
+                    dict(coeff_bound=math.inf), dict(coeff_bound=math.nan),
+                    dict(coeff_bound=-1.0), dict(coeff_bound=0.0), dict(coeff_bound=1e308)):
+        with pytest.raises(ValueError):
+            TrialSpec(**{"trials": 10, "eps": 0.01, "seed": 1, **changes})
+
+
+def test_spec_accepts_range_ends():
+    TrialSpec(trials=1, eps=2e-9, seed=2 ** 70, coeff_bound=8e307, max_iter=np.int64(3))
+    TrialSpec(trials=2 ** 32, eps=0.1, seed=np.uint64(7), coeff_bound=5e-324)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+@pytest.mark.parametrize("bound", [1.0, 1e-300, 1e300])
+def test_trial_draws_match_default_rng(seed, bound):
+    angle, coeffs = _trial_draws(seed, 300, bound)
+    for i in (0, 1, 2, 77, 255, 256, 299):
+        rng = np.random.default_rng([seed, i])
+        assert angle[i] == math.pi - 2.0 * math.pi * rng.random()
+        assert np.array_equal(coeffs[:, i], rng.uniform(-bound, bound, 4))
+
+
+BULK_SPECS = [
+    dict(trials=300, eps=0.1, seed=5),
+    dict(trials=300, eps=1e-3, seed=6),
+    dict(trials=300, eps=1e-5, seed=7),
+    dict(trials=300, eps=1e-3, seed=8, coefficient_space=True),
+    dict(trials=200, eps=1e-3, seed=9, coeff_bound=1e-300),
+    dict(trials=200, eps=1e-3, seed=10, coeff_bound=1e300),
+    dict(trials=300, eps=1e-3, seed=11, coeff_bound=5e-324),   # degenerate trials
+    dict(trials=300, eps=1e-3, seed=12, max_iter=3),
+    dict(trials=300, eps=4.0, seed=13),                         # no iteration at all
+]
+
+
+def _assert_matches_run_trial(spec: TrialSpec):
+    live, errors, iterations, capped = _outcomes(spec)
+    live_index = np.flatnonzero(live).tolist()
+    for i in range(spec.trials):
+        ref = run_trial(np.random.default_rng([spec.seed, i]), spec.eps, spec.coeff_bound,
+                        spec.max_iter, spec.coefficient_space)
+        if ref.status is DetectionStatus.DEGENERATE_ZERO_FIELD:
+            assert not live[i]
+            continue
+        k = live_index.index(i)
+        assert repr(float(errors[k])) == repr(ref.error)
+        assert iterations[k] == ref.iterations
+        assert capped[k] == (ref.status is DetectionStatus.MAX_ITER_EXCEEDED)
+
+
+@pytest.mark.parametrize("spec", BULK_SPECS,
+                         ids=["-".join(f"{k}={v}" for k, v in spec.items() if k != "trials")
+                              for spec in BULK_SPECS])
+def test_bulk_trials_match_run_trial(spec):
+    _assert_matches_run_trial(TrialSpec(**spec))
+
+
+@pytest.mark.parametrize("handover", [0, 1, 50, 10 ** 9])
+def test_bulk_trials_match_run_trial_at_any_handover(monkeypatch, handover):
+    # 0 keeps every trial in the array loop, 10**9 runs each in detect's loop.
+    monkeypatch.setattr(experiments, "_HANDOVER", handover)
+    _assert_matches_run_trial(TrialSpec(trials=200, eps=1e-4, seed=14))
+    _assert_matches_run_trial(TrialSpec(trials=100, eps=1e-3, seed=15, max_iter=4))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_bulk_trials_match_run_trial_at_the_handover(extra):
+    # Exactly _HANDOVER trials hand over before the first pass; one more
+    # runs the array loop first.
+    trials = experiments._HANDOVER + extra
+    _assert_matches_run_trial(TrialSpec(trials=trials, eps=1e-3, seed=16))

@@ -477,3 +477,37 @@ def test_wrap_angle_used_for_result():
     result = detect(v, total_rotate(v, theta), DetectorConfig(eps=1e-8))
     assert result.converged()
     assert angle_distance_mod_pi(result.alpha, wrap_angle(theta)) <= 1e-6
+
+
+def test_detect_is_pinned():
+    # alpha, iterations, status, trace and corrected of 1,235 detections,
+    # byte for byte as detect gave them with its loop written inline:
+    # random and unrelated pairs on four domains at scales 1e-3..1e3, some
+    # capped at 30 iterations, and pure-saddle, pure-invariant, near-pure
+    # and kicked inputs at quarter turns.
+    rng = np.random.default_rng(2024)
+    domains = (SymmetricDomain.square(1.0), SymmetricDomain.disk(1.0),
+               SymmetricDomain.square(2.5), SymmetricDomain.disk(0.3))
+    pairs = []
+    for i in range(1200):
+        domain = domains[i % 4]
+        scale = 10.0 ** rng.uniform(-3, 3)
+        v = LinearField(*(scale * rng.uniform(-1, 1, 4)), domain)
+        if i % 5 == 4:
+            u = LinearField(*(scale * rng.uniform(-1, 1, 4)), domain)
+        else:
+            u = total_rotate(v, math.pi - 2 * math.pi * rng.random())
+        pairs.append((v, u, DetectorConfig(eps=(1e-2, 1e-4, 1e-6)[i % 3],
+                                           max_iter=1000 if i % 7 else 30)))
+    for dec in ((0.9, -0.3, 0.0, 0.0), (0.0, 0.0, 0.4, -0.7), (0.5, 0.0, 1.0, 0.0),
+                (1e-5, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
+        v = recompose(Decomposition(*dec))
+        for t in (0.0, 0.3, -1.2, math.pi / 2, math.pi / 4, -math.pi / 4, math.pi):
+            pairs.append((v, total_rotate(v, t), DetectorConfig(eps=1e-6)))
+    digest = hashlib.sha256()
+    for v, u, cfg in pairs:
+        r = detect(v, u, cfg)
+        digest.update(repr((r.alpha, r.iterations, r.status.value, r.trace,
+                            r.corrected.coefficients())).encode())
+    assert digest.hexdigest() == (
+        "e76fe3f12c1da103daf52de4e9789bc8ce1631e62eeec9fe3d5618a2a8b0f8dd")
