@@ -511,3 +511,36 @@ def test_detect_is_pinned():
                             r.corrected.coefficients())).encode())
     assert digest.hexdigest() == (
         "e76fe3f12c1da103daf52de4e9789bc8ce1631e62eeec9fe3d5618a2a8b0f8dd")
+
+
+def _seam_digest() -> str:
+    # Caps 1 to 4 stop detect inside or just past the readings where the
+    # branch rule can act, with and without a trace.
+    digest = hashlib.sha256()
+    for dec in ((1.0, 0.0, 0.0, 0.0), (0.9, -0.3, 0.0, 0.0),   # pure saddle
+                (0.0, 0.0, 0.4, -0.7),                          # pure invariant
+                (1e-5, 0.0, 1.0, 0.0), (1.0, 0.0, 1e-5, 0.0),   # near pure
+                (0.8, -0.3, 0.5, 0.9)):                         # generic
+        v = recompose(Decomposition(*dec))
+        for t in (0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 0.3):
+            u = total_rotate(v, t)
+            for eps in (1e-6, 0.1):
+                for max_iter in (1, 2, 3, 4):
+                    for record_trace in (True, False):
+                        r = detect(v, u, DetectorConfig(eps=eps, max_iter=max_iter),
+                                   record_trace=record_trace)
+                        digest.update(repr((
+                            r.alpha, r.iterations, r.status.value, type(r.trace).__name__,
+                            r.trace, [type(e).__name__ for e in r.trace],
+                            r.corrected.coefficients())).encode())
+    return digest.hexdigest()
+
+
+def test_detect_branch_seam_is_pinned():
+    # A pure saddle at a quarter turn halves at reading 2 and then reads
+    # exactly +0.0: the sign of that zero is part of the answer.
+    r = detect(saddle(), total_rotate(saddle(), math.pi / 2), DetectorConfig(eps=1e-6))
+    assert [e.branch for e in r.trace] == [None, "halve", None]
+    assert repr(r.trace[2].phi) == "0.0"
+    assert _seam_digest() == (
+        "c10aa7013cd38d28d8629568debd8e717ea123eb0b62faa292586c33b879cf41")
