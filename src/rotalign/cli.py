@@ -155,7 +155,11 @@ def _cmd_correlate(args) -> int:
         else:
             cor = correlate_linear(pattern, field)
     v = cor.value
-    if not all(map(math.isfinite, (v.s, v.x, v.y, v.b, cor.magnitude))):
+    # A zero or subnormal value of two nonzero fields has lost its argument
+    # to underflow, as an infinite one has to overflow.
+    lost = (cor.magnitude < sys.float_info.min
+            and not (field.is_zero() or pattern.is_zero()))
+    if lost or not all(map(math.isfinite, (v.s, v.x, v.y, v.b, cor.magnitude))):
         raise ValueError("the correlation leaves the float range at these coefficients")
     if args.json:
         print(json.dumps({"value": cor.value.to_json_dict(),

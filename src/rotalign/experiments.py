@@ -41,6 +41,8 @@ from .fields import (
     Decomposition,
     LinearField,
     _conjugate,
+    _coordinates,
+    _entries,
     recompose,
     second_moment,
     total_rotate,
@@ -89,9 +91,10 @@ class TrialSpec:
             raise ValueError(f"trials must be between 1 and 2**32, got {self.trials!r}")
         if _integer("seed", self.seed) < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        # The range Generator.uniform demands: high - low = 2 * bound finite and positive.
-        if not (self.coeff_bound > 0.0 and math.isfinite(2.0 * self.coeff_bound)):
-            raise ValueError(f"coeff_bound must be positive and twice it finite, "
+        # Generator.uniform needs 2 * bound finite, and a rotated copy's
+        # entries reach 4 * bound in the decomposition's sums.
+        if not (self.coeff_bound > 0.0 and math.isfinite(4.0 * self.coeff_bound)):
+            raise ValueError(f"coeff_bound must be positive and four times it finite, "
                              f"got {self.coeff_bound!r}")
         DetectorConfig(eps=self.eps, max_iter=self.max_iter)
 
@@ -323,11 +326,6 @@ def _mapped(fn, *arrays) -> np.ndarray:
                        count=len(arrays[0]))
 
 
-def _decompose(a11, a12, a21, a22) -> tuple:
-    """``decompose`` on coefficient arrays, expression for expression."""
-    return 0.5 * (a11 - a22), 0.5 * (a12 + a21), 0.5 * (a11 + a22), 0.5 * (a12 - a21)
-
-
 def _unit_scaled(coords) -> tuple:
     """``registration._unit_scaled`` on coordinate arrays (without the exponent)."""
     peak = np.maximum(np.maximum(np.abs(coords[0]), np.abs(coords[1])),
@@ -350,8 +348,8 @@ def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
     finishes in ``registration._iterate``, where a step costs less than
     a pass over a few array elements.
     """
-    av, bv, cv, dv = _unit_scaled(_decompose(*field))
-    au, bu, cu, du = _unit_scaled(_decompose(*copy))
+    av, bv, cv, dv = _unit_scaled(_coordinates(*field))
+    au, bu, cu, du = _unit_scaled(_coordinates(*copy))
     if not np.isfinite(av + bv + cv + dv + au + bu + cu + du).all():
         raise ValueError("detect needs finite field coefficients")
     moment = second_moment(UNIT_SQUARE)
@@ -415,11 +413,7 @@ def _outcomes(spec: TrialSpec) -> tuple:
     """
     angle, coeffs = _trial_draws(operator.index(spec.seed), spec.trials,
                                  spec.coeff_bound)
-    if spec.coefficient_space:
-        a, b, c, d = coeffs
-        field = (a + c, b + d, b - d, -a + c)   # recompose's expressions
-    else:
-        field = tuple(coeffs)
+    field = _entries(*coeffs) if spec.coefficient_space else tuple(coeffs)
     copy = _conjugate(_mapped(math.cos, angle), _mapped(math.sin, angle), *field)
 
     # detect raises DegenerateZeroFieldError when either field is zero.
@@ -442,7 +436,15 @@ def run_campaign(spec: TrialSpec) -> ExperimentReport:
     completed = len(all_errors)
 
     def avg(values: list) -> float:
-        return sum(values) / len(values) if values else math.nan
+        if not values:
+            return math.nan
+        total = sum(values)
+        if total < math.inf:
+            return total / len(values)
+        # Finite errors whose sum overflows: add them scaled down by a power
+        # of two that keeps count * largest error in range.
+        shift = len(values).bit_length()
+        return sum(math.ldexp(x, -shift) for x in values) / len(values) * 2.0 ** shift
 
     return ExperimentReport(
         eps=spec.eps,

@@ -228,18 +228,22 @@ def decompose(field: LinearField) -> Decomposition:
     against the matrix entries gives a11 = a+c, a12 = b+d, a21 = b-d,
     a22 = -a+c, and this is the inverse of that linear map.
     """
-    return Decomposition(
-        0.5 * (field.a11 - field.a22),
-        0.5 * (field.a12 + field.a21),
-        0.5 * (field.a11 + field.a22),
-        0.5 * (field.a12 - field.a21),
-    )
+    return Decomposition(*_coordinates(field.a11, field.a12, field.a21, field.a22))
 
 
 def recompose(dec: Decomposition, domain: SymmetricDomain = UNIT_SQUARE) -> LinearField:
     """Inverse of decompose: build the field a*saddle + b*saddle45 + c*source + d*vortex."""
-    return LinearField(dec.a + dec.c, dec.b + dec.d,
-                       dec.b - dec.d, -dec.a + dec.c, domain)
+    return LinearField(*_entries(dec.a, dec.b, dec.c, dec.d), domain)
+
+
+def _coordinates(a11, a12, a21, a22) -> tuple:
+    """``decompose``'s (a, b, c, d) of the matrix entries, for floats or arrays alike."""
+    return 0.5 * (a11 - a22), 0.5 * (a12 + a21), 0.5 * (a11 + a22), 0.5 * (a12 - a21)
+
+
+def _entries(a, b, c, d) -> tuple:
+    """``recompose``'s (a11, a12, a21, a22) of the coordinates, for floats or arrays alike."""
+    return a + c, b + d, b - d, -a + c
 
 
 def total_rotate(field: LinearField, alpha: float) -> LinearField:

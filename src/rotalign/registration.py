@@ -43,6 +43,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -53,6 +54,8 @@ from .fields import (
     DomainMismatchError,
     LinearField,
     SampledField,
+    _coordinates,
+    _entries,
     decompose,
     recompose,
     total_rotate,
@@ -170,16 +173,16 @@ def _special_case(iteration: int, phi: float, alpha_acc: float, kicked: bool) ->
     return phi, alpha_acc, kicked, None
 
 
-def _unit_scaled(dec: Decomposition) -> tuple:
+def _unit_scaled(a: float, b: float, c: float, d: float) -> tuple:
     """(a, b, c, d, e): the coordinates times 2**-e, the largest in [0.5, 1).
 
     A power-of-two scale is exact, so the loop reads the same angles as
     on the raw coordinates, while its products stay in range however
     large or small the field is as a whole.
     """
-    _, e = math.frexp(max(abs(dec.a), abs(dec.b), abs(dec.c), abs(dec.d)))
+    _, e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))
     ldexp = math.ldexp
-    return ldexp(dec.a, -e), ldexp(dec.b, -e), ldexp(dec.c, -e), ldexp(dec.d, -e), e
+    return ldexp(a, -e), ldexp(b, -e), ldexp(c, -e), ldexp(d, -e), e
 
 
 def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
@@ -196,12 +199,16 @@ def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
     the rotations actually applied to the pattern.  Entries are appended
     to ``trace`` when one is given.  Returns (au, bu, applied, iteration,
     capped).
+
+    The branch rule can act only at readings 1 and 2, so those run with
+    the accumulator and the rule; every later reading only reads, turns
+    and adds, and its trace entries are built once the loop has stopped.
     """
     atan2 = math.atan2
     cos = math.cos
     sin = math.sin
 
-    while abs(phi) > eps:
+    while iteration < 2 and abs(phi) > eps:
         if iteration == max_iter:
             return au, bu, applied, iteration, True
         iteration += 1
@@ -212,10 +219,7 @@ def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
         # which hands the degenerate-start cases to the first branch.
         phi = atan2(cor_b, cor_s)
         alpha_acc += phi
-
-        branch = None
-        if iteration <= 2:
-            phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
+        phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
 
         c2 = cos(2.0 * phi)
         s2 = sin(2.0 * phi)
@@ -225,7 +229,35 @@ def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
         if trace is not None:
             trace.append(TraceEntry(iteration, phi, alpha_acc, branch))
 
-    return au, bu, applied, iteration, False
+    if abs(phi) <= eps:
+        return au, bu, applied, iteration, False
+
+    # Later readings: read, turn, add.  Their trace entries are built
+    # after the loop, with the accumulator's same left-to-right sums.
+    first = iteration + 1
+    record = trace is not None
+    phis = []
+    capped = False
+    for iteration in range(first, max_iter + 1):
+        phi = atan2(moment * ((au * bv - bu * av) - cross), moment * (au * av + bu * bv + cc + dd))
+        twice = 2.0 * phi
+        c2 = cos(twice)
+        s2 = sin(twice)
+        au, bu = au * c2 - bu * s2, au * s2 + bu * c2
+        applied += phi
+        if record:
+            phis.append(phi)
+        if abs(phi) <= eps:
+            break
+    else:
+        capped = True
+
+    if record and phis:
+        after = accumulate(phis, initial=alpha_acc)
+        next(after)
+        trace.extend(map(tuple.__new__, repeat(TraceEntry),
+                         zip(range(first, iteration + 1), phis, after, repeat(None))))
+    return au, bu, applied, iteration, capped
 
 
 def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(),
@@ -249,9 +281,9 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
         raise DomainMismatchError("detect needs both fields on the same domain")
 
     moment = second_moment(v.domain)
-    du = decompose(u)
-    av, bv, cv, d_v, _ = _unit_scaled(decompose(v))
-    au, bu, cu, d_u, u_exp = _unit_scaled(du)
+    av, bv, cv, d_v, _ = _unit_scaled(*_coordinates(v.a11, v.a12, v.a21, v.a22))
+    _, _, u_c, u_d = coords = _coordinates(u.a11, u.a12, u.a21, u.a22)
+    au, bu, cu, d_u, u_exp = _unit_scaled(*coords)
     # Finite scaled coordinates lie in (-1, 1), so their sum is finite
     # exactly when every coordinate is.
     if not math.isfinite(av + bv + cv + d_v + au + bu + cu + d_u):
@@ -264,8 +296,8 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     status = (DetectionStatus.MAX_ITER_EXCEEDED if capped
               else DetectionStatus.CONVERGED)
 
-    corrected = recompose(Decomposition(math.ldexp(au, u_exp), math.ldexp(bu, u_exp),
-                                        du.c, du.d), v.domain)
+    corrected = LinearField(*_entries(math.ldexp(au, u_exp), math.ldexp(bu, u_exp), u_c, u_d),
+                            v.domain)
     return DetectionResult(
         alpha=wrap_angle(-applied),
         iterations=iteration,

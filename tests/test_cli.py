@@ -146,6 +146,23 @@ def test_correlate_non_finite_value_exits_one(capsys, n):
     assert err.startswith("rotalign: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [None, "16"])
+def test_correlate_underflowing_value_exits_one(capsys, n):
+    # Every product underflows to zero; the argument would read 0.0, not -0.6.
+    argv = ["correlate", "--field", "1e-200,0,0,-1e-200", "--alpha", "0.3", "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, *(["--n", n] if n else []))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rotalign: error:") and err.count("\n") == 1
+    # A zero field's correlation is exactly zero, not an underflow.
+    code, out, _ = run_cli(capsys, "correlate", "--field", "0,0,0,0", "--alpha", "0.3",
+                           "--json", *(["--n", n] if n else []))
+    assert code == 0
+    assert json.loads(out)["magnitude"] == 0.0
+
+
 def test_experiment_round_trips_and_is_reproducible(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -171,7 +188,8 @@ def test_experiment_csv_format(tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--coeff-bound", "inf"), ("--coeff-bound", "nan"), ("--coeff-bound", "-1"),
-    ("--coeff-bound", "0"), ("--coeff-bound", "1e308"), ("--seed", "-1"),
+    ("--coeff-bound", "0"), ("--coeff-bound", "1e308"), ("--coeff-bound", "8e307"),
+    ("--seed", "-1"),
     ("--eps", "1e-10"), ("--max-iter", "0"),
 ])
 def test_experiment_invalid_spec_exits_one(tmp_path, capsys, option, value):
@@ -198,6 +216,20 @@ def test_experiment_report_is_strict_json(tmp_path, capsys):
     assert payload["avg_error"] is None and payload["max_error"] is None
     assert payload["non_converged_trials"] == 5
     assert payload["avg_error_all"] > 0.0
+
+
+def test_experiment_reports_errors_whose_sum_overflows(tmp_path, capsys):
+    # Single errors reach about 1e308, so their plain sum overflows.
+    path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "experiment", "--trials", "500", "--eps", "0.1",
+                               "--coeff-bound", "4.4e307", "--seed", "3", "--out", str(path))
+    assert code == 0, err
+    payload = json.loads(path.read_text())
+    assert payload["max_error_all"] > 1e307
+    for key in ("avg_error", "avg_error_all"):
+        assert 0.0 < payload[key] <= payload[key.replace("avg", "max")]
 
 
 def test_sample_counterexample_preset(tmp_path, capsys):

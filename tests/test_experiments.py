@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -234,13 +235,15 @@ def test_spec_validation():
                     dict(eps=-1.0), dict(eps=1e-10), dict(max_iter=0), dict(max_iter=2.5),
                     dict(seed=-1), dict(seed=1.5),
                     dict(coeff_bound=math.inf), dict(coeff_bound=math.nan),
-                    dict(coeff_bound=-1.0), dict(coeff_bound=0.0), dict(coeff_bound=1e308)):
+                    dict(coeff_bound=-1.0), dict(coeff_bound=0.0), dict(coeff_bound=1e308),
+                    dict(coeff_bound=8e307)):
         with pytest.raises(ValueError):
             TrialSpec(**{"trials": 10, "eps": 0.01, "seed": 1, **changes})
 
 
 def test_spec_accepts_range_ends():
-    TrialSpec(trials=1, eps=2e-9, seed=2 ** 70, coeff_bound=8e307, max_iter=np.int64(3))
+    TrialSpec(trials=1, eps=2e-9, seed=2 ** 70, coeff_bound=sys.float_info.max / 4,
+              max_iter=np.int64(3))
     TrialSpec(trials=2 ** 32, eps=0.1, seed=np.uint64(7), coeff_bound=5e-324)
 
 
