@@ -155,12 +155,13 @@ def _cmd_correlate(args) -> int:
         else:
             cor = correlate_linear(pattern, field)
     v = cor.value
-    # A zero or subnormal value of two nonzero fields has lost its argument
-    # to underflow, as an infinite one has to overflow.
-    lost = (cor.magnitude < sys.float_info.min
-            and not (field.is_zero() or pattern.is_zero()))
-    if lost or not all(map(math.isfinite, (v.s, v.x, v.y, v.b, cor.magnitude))):
+    if not all(map(math.isfinite, (v.s, v.x, v.y, v.b, cor.magnitude))):
         raise ValueError("the correlation leaves the float range at these coefficients")
+    # Two nonzero fields whose value underflowed (or which are orthogonal)
+    # have no argument; atan2 would read 0.
+    if cor.magnitude < sys.float_info.min and not (field.is_zero() or pattern.is_zero()):
+        raise ValueError("the correlation of these nonzero fields is zero or subnormal, "
+                         "so its argument is undefined")
     if args.json:
         print(json.dumps({"value": cor.value.to_json_dict(),
                           "argument": cor.argument,

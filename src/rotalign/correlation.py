@@ -51,7 +51,8 @@ class CorrelationValue:
     """A correlation result: the even-graded value with its polar data.
 
     ``argument`` is atan2(bivector, scalar) in (-pi, pi] and 0.0 for the
-    all-zero value (which only arises from identically zero fields).
+    all-zero value, which zero fields give, but so do orthogonal fields
+    (a saddle against a source) and products that underflow.
     """
 
     value: Multivector2

@@ -91,8 +91,8 @@ class TrialSpec:
             raise ValueError(f"trials must be between 1 and 2**32, got {self.trials!r}")
         if _integer("seed", self.seed) < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        # Generator.uniform needs 2 * bound finite, and a rotated copy's
-        # entries reach 4 * bound in the decomposition's sums.
+        # Generator.uniform needs 2 * bound finite, and decomposing a rotated
+        # copy sums entries up to 2 * sqrt(2) * bound: 4 * bound covers both.
         if not (self.coeff_bound > 0.0 and math.isfinite(4.0 * self.coeff_bound)):
             raise ValueError(f"coeff_bound must be positive and four times it finite, "
                              f"got {self.coeff_bound!r}")

@@ -25,6 +25,13 @@ degenerate families need special handling inside the loop:
   phi = -pi/2 the offset was a multiple of a quarter turn and is pinned
   to pi/2.
 
+The branch rule acts at readings 1 and 2 only: the kick at reading 1,
+the halve or the lock at reading 2.  ``detect`` runs those two readings
+with the accumulator and the rule, and every later reading in a tight
+loop that only reads, turns and adds.  The trace entries of the later
+readings are built after the loop, from the accumulator's same
+left-to-right sums, so they equal entries recorded reading by reading.
+
 Loop equality tests ("accumulator is zero", "phi is -pi/2") are taken
 up to ``_ZERO_TOL`` = 1e-9 because correlation arguments are floating
 point; it is fixed, and every stopping accuracy eps must exceed it.
@@ -199,10 +206,6 @@ def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
     the rotations actually applied to the pattern.  Entries are appended
     to ``trace`` when one is given.  Returns (au, bu, applied, iteration,
     capped).
-
-    The branch rule can act only at readings 1 and 2, so those run with
-    the accumulator and the rule; every later reading only reads, turns
-    and adds, and its trace entries are built once the loop has stopped.
     """
     atan2 = math.atan2
     cos = math.cos
@@ -232,8 +235,9 @@ def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
     if abs(phi) <= eps:
         return au, bu, applied, iteration, False
 
-    # Later readings: read, turn, add.  Their trace entries are built
-    # after the loop, with the accumulator's same left-to-right sums.
+    # Readings 3 on: the branch rule cannot fire, so only read, turn and
+    # add.  Their trace entries are built after the loop, from the
+    # accumulator's same left-to-right sums.
     first = iteration + 1
     record = trace is not None
     phis = []

@@ -163,6 +163,17 @@ def test_correlate_underflowing_value_exits_one(capsys, n):
     assert json.loads(out)["magnitude"] == 0.0
 
 
+def test_correlate_orthogonal_fields_exits_one(tmp_path, capsys):
+    # A saddle against a source correlates to exactly zero: no argument.
+    pattern = tmp_path / "source.json"
+    pattern.write_text(json.dumps({"a11": 1.0, "a12": 0.0, "a21": 0.0, "a22": 1.0}))
+    code, out, err = run_cli(capsys, "correlate", "--field=1,0,0,-1",
+                             "--pattern-file", str(pattern))
+    assert code == 1
+    assert out == ""
+    assert "undefined" in err and err.count("\n") == 1
+
+
 def test_experiment_round_trips_and_is_reproducible(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
