@@ -9,6 +9,7 @@ from rotalign import (
     Decomposition,
     DetectionStatus,
     DetectorConfig,
+    LinearField,
     TrialSpec,
     detect,
     field_norms,
@@ -17,6 +18,7 @@ from rotalign import (
     run_campaign,
     run_trial,
     total_rotate,
+    wrap_angle,
 )
 from rotalign import experiments
 from rotalign.experiments import (
@@ -25,6 +27,7 @@ from rotalign.experiments import (
     _trial_draws,
     report_csv_header,
 )
+from rotalign.fields import _entries
 
 
 def test_campaign_is_deterministic():
@@ -306,3 +309,55 @@ def test_bulk_trials_match_run_trial_at_the_handover(extra):
     # runs the array loop first.
     trials = experiments._HANDOVER + extra
     _assert_matches_run_trial(TrialSpec(trials=trials, eps=1e-3, seed=16))
+
+
+def _branch_pairs() -> tuple:
+    """(field, copy) entry arrays of crafted pairs, 40 of each kind.
+
+    Random draws never reach the branch rule, so these pairs do:
+    aligned pairs (perturb), pure saddles at 0.3 and at a quarter turn
+    (halve), aligned pure saddles (perturb, then lock), pure invariant
+    fields (perturb) and generic pairs (no branch).
+    """
+    rng = np.random.default_rng(2024)
+    count = 40
+    a, b = rng.uniform(-1.0, 1.0, (2, count))
+    c, d = rng.uniform(-1.0, 1.0, (2, count))
+    zero = np.zeros(count)
+    kinds = [
+        ((a, b, c, d), zero),                                            # aligned
+        ((a, b, zero, zero), np.full(count, 0.3)),                       # halve
+        ((a, b, zero, zero), np.where(a > 0, 1.0, -1.0) * math.pi / 2),  # halve
+        ((a, b, zero, zero), zero),                                      # lock
+        ((zero, zero, c, d), rng.uniform(-math.pi, math.pi, count)),     # invariant
+        (tuple(rng.uniform(-1.0, 1.0, (4, count))), rng.uniform(-math.pi, math.pi, count)),
+    ]
+    field = tuple(np.concatenate(x) for x in zip(*(_entries(*coords) for coords, _ in kinds)))
+    angle = np.concatenate([t for _, t in kinds])
+    copy = tuple(np.array(x) for x in zip(*(
+        total_rotate(LinearField(*entries), t).coefficients()
+        for entries, t in zip(zip(*(x.tolist() for x in field)), angle.tolist()))))
+    return field, copy
+
+
+@pytest.mark.parametrize("handover", [0, None])
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 10000])
+def test_detect_all_applies_the_branch_rule(monkeypatch, handover, max_iter):
+    # None keeps the default handover; 0 keeps every trial in the array loop.
+    if handover is not None:
+        monkeypatch.setattr(experiments, "_HANDOVER", handover)
+    field, copy = _branch_pairs()
+    assert len(field[0]) > experiments._HANDOVER
+    eps = 1e-6
+    applied, iterations, capped = experiments._detect_all(field, copy, eps, max_iter)
+    cfg = DetectorConfig(eps=eps, max_iter=max_iter)
+    branches = set()
+    for i, (v, u) in enumerate(zip(zip(*(x.tolist() for x in field)),
+                                   zip(*(x.tolist() for x in copy)))):
+        ref = detect(LinearField(*v), LinearField(*u), cfg)
+        branches.update(t.branch for t in ref.trace)
+        assert repr(wrap_angle(-float(applied[i]))) == repr(ref.alpha), i
+        assert iterations[i] == ref.iterations, i
+        assert capped[i] == (ref.status is DetectionStatus.MAX_ITER_EXCEEDED), i
+    expected = {None, "perturb", "halve", "lock"} if max_iter >= 2 else {None, "perturb"}
+    assert branches == expected
