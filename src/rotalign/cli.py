@@ -94,7 +94,7 @@ def _cmd_detect(args) -> int:
     field = _field_from_args(args)
     pattern = _counterpart_from_args(args, field)
     cfg = DetectorConfig(eps=args.eps, max_iter=args.max_iter)
-    result = detect(field, pattern, cfg)
+    result = detect(field, pattern, cfg, record_trace=args.trace)
 
     if args.json:
         payload = {

@@ -16,6 +16,15 @@ generator it is given; ``run_campaign`` computes the same streams for
 all indices at once and runs every trial as arrays, bit for bit what
 ``run_trial`` gives on ``default_rng([seed, index])``.
 
+The array loop has ``detect``'s seam at reading 2.  Readings 1 and 2
+keep the accumulator and the kick, and pass to the branch rule only the
+trials it can act on: those whose accumulator is zero, plus the kicked
+ones at reading 2.  Later readings only read, turn and add, over one
+stacked array.  The turns take numpy's ``cos`` and ``sin``, which call
+the C library's functions just as ``math`` does, but every reading goes
+through ``math.atan2``, because numpy's ``arctan2`` is its own and
+differs in the last bit.
+
 Detection accuracy degrades when the saddle and invariant energies of
 the drawn field differ by many orders of magnitude: the step size is
 proportional to the smaller of the two, so such trials stop far from
@@ -31,7 +40,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +58,7 @@ from .fields import (
 )
 from .multivector import wrap_angle
 from .registration import (
+    _ZERO_TOL,
     DegenerateZeroFieldError,
     DetectionStatus,
     DetectorConfig,
@@ -215,8 +225,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_LIMBS = [np.uint64(_PCG64_MULT >> (32 * k) & _MASK32) for k in range(4)]
 _NORMAL_MIN = 2.0 ** -1022
-# Running trials at which the array loop hands the rest to detect's loop;
-# 32 to 512 measured alike (about 7 to 9 s for the 1e5-trial ladder).
+# Running trials at which the array loop hands the rest to detect's loop.
+# 64 and 128 measured alike and 256 about 5% slower; at 128 every float
+# array of a pass holds over 1 KiB, which numpy frees rather than caches.
 _HANDOVER = 128
 
 
@@ -318,9 +329,12 @@ def _trial_draws(seed: int, n: int, bound: float) -> tuple:
 def _mapped(fn, *arrays) -> np.ndarray:
     """fn applied elementwise through Python floats.
 
-    ``detect`` reads angles with ``math``; numpy's own ``arctan2``
-    differs from ``math.atan2`` in the last bit on about 3% of inputs,
-    so the array paths call the ``math`` functions too.
+    It serves ``math.atan2`` and ``wrap_angle`` only.  numpy's own
+    ``arctan2`` differs from ``math.atan2`` in the last bit on about 3%
+    of inputs, and ``wrap_angle`` is Python code, so both go through
+    Python floats as in ``detect``.  numpy's float64 ``cos`` and ``sin``
+    call the C library's functions, as ``math`` does, so the array paths
+    call them directly (``test_numpy_cos_sin_match_math_bit_for_bit``).
     """
     return np.fromiter(map(fn, *(a.tolist() for a in arrays)), dtype=float,
                        count=len(arrays[0]))
@@ -339,11 +353,20 @@ def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
 
     ``applied`` is the loop's summed rotation, so alpha = wrap_angle(-applied).
     Every trial runs detect's loop bit for bit.  The trials still
-    running share one iteration count; each pass reads every
-    correlation argument with ``math.atan2``, applies the branch rule
-    at iterations 1 and 2, and drops the trials that stopped.  The
-    counts are heavy-tailed (at eps 0.1 the median trial stops after 3
-    iterations, the p99 after 263, and the top 1% hold 61% of all
+    running share one iteration count, and their loop-invariant terms,
+    pattern coordinates and summed rotation sit in one stacked array
+    ``[av, bv, au, bu, cc, dd, cross, applied]``, so a stop drops them
+    with a single column selection.  Each pass reads every correlation
+    argument with ``math.atan2`` and turns the pattern in place.
+
+    As in ``detect``, the seam is at reading 2.  Readings 1 and 2 also
+    keep the accumulator and the kick, and hand to
+    ``registration._special_case`` only the trials where it can act:
+    perturb and halve need a zero accumulator, lock needs a kick.  Later
+    readings only read, turn and add.
+
+    The counts are heavy-tailed (at eps 0.1 the median trial stops after
+    3 iterations, the p99 after 263, and the top 1% hold 61% of all
     iterations), so once at most ``_HANDOVER`` trials remain each
     finishes in ``registration._iterate``, where a step costs less than
     a pass over a few array elements.
@@ -358,48 +381,71 @@ def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
     iterations = np.zeros(n, dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
 
-    # The running trials' indices and loop state, in the order _iterate takes it.
+    # The running trials' indices, stacked state, last reading, and the
+    # accumulator and kick of readings 1-2; the later loop never reads
+    # the last two, so they stop being kept after reading 2.
     trial = np.arange(n)
-    state = [av, bv, au, bu, cu * cv, du * dv, cu * dv - du * cv,
-             np.full(n, math.pi), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)]
+    state = np.stack([av, bv, au, bu, cu * cv, du * dv, cu * dv - du * cv, np.zeros(n)])
+    phi = np.full(n, math.pi)
+    acc = np.zeros(n)
+    kicked = np.zeros(n, dtype=bool)
+    # numpy keeps freed blocks under 1 KiB for reuse, per byte size, so a
+    # mask of every shrinking size would pile up; it gets one buffer.
+    mask = np.empty(n, dtype=bool)
     iteration = 0
     while True:
-        running = np.abs(state[7]) > eps
-        if not running.all():
-            stopped = trial[~running]
-            applied_out[stopped] = state[9][~running]
-            iterations[stopped] = iteration
-            trial = trial[running]
-            state = [x[running] for x in state]
-        if not len(trial):
+        running = np.greater(np.abs(phi), eps, out=mask[:len(phi)])
+        kept = np.count_nonzero(running)
+        if kept < len(phi) or iteration == max_iter:
+            # Stopped trials keep what this writes; the others overwrite it.
+            applied_out[trial] = state[7]
+            iterations[trial] = iteration
+        if not kept:
             break
         if iteration == max_iter:
-            applied_out[trial] = state[9]
-            iterations[trial] = iteration
-            capped[trial] = True
+            capped[trial] = running
             break
-        if len(trial) <= _HANDOVER:
-            rows = zip(trial.tolist(), zip(*(x.tolist() for x in state)))
-            for i, (*coords, phi, acc, applied, kicked) in rows:
+        if kept <= _HANDOVER:
+            early = zip(acc.tolist(), kicked.tolist()) if iteration < 2 else repeat((0.0, False))
+            rows = compress(zip(trial.tolist(), zip(*state.tolist()), phi.tolist(), early),
+                            running.tolist())
+            for i, (*coords, applied), last, (acc_i, kicked_i) in rows:
                 _, _, applied_out[i], iterations[i], capped[i] = _iterate(
-                    moment, *coords, eps, max_iter, phi, acc, applied, iteration, kicked)
+                    moment, *coords, eps, max_iter, last, acc_i, applied, iteration, kicked_i)
             break
+        if kept < len(phi):
+            trial = trial[running]
+            state = state[:, running]
+            phi = phi[running]
+            if iteration < 2:
+                acc = acc[running]
+                kicked = kicked[running]
 
-        av, bv, au, bu, cc, dd, cross, phi, acc, applied, kicked = state
+        av, bv, au, bu, cc, dd, cross, applied = state
         iteration += 1
         cor_s = moment * (au * av + bu * bv + cc + dd)
         cor_b = moment * ((au * bv - bu * av) - cross)
         phi = _mapped(math.atan2, cor_b, cor_s)
-        acc = acc + phi
         if iteration <= 2:
-            phi, acc, kicked, _ = zip(*map(_special_case, repeat(iteration), phi.tolist(),
-                                           acc.tolist(), kicked.tolist()))
-            phi, acc, kicked = np.array(phi), np.array(acc), np.array(kicked)
+            acc += phi
+            near = np.abs(acc) <= _ZERO_TOL
+            if iteration == 2:
+                near |= kicked
+            act = np.flatnonzero(near)
+            if len(act):
+                phi[act], acc[act], kicked[act], _ = zip(*map(
+                    _special_case, repeat(iteration), phi[act].tolist(),
+                    acc[act].tolist(), kicked[act].tolist()))
+        applied += phi
         twice = 2.0 * phi
-        c2 = _mapped(math.cos, twice)
-        s2 = _mapped(math.sin, twice)
-        state = [av, bv, au * c2 - bu * s2, au * s2 + bu * c2, cc, dd, cross,
-                 phi, acc, applied + phi, kicked]
+        c2 = np.cos(twice)
+        s2 = np.sin(twice)
+        au_s2 = au * s2
+        bu_s2 = bu * s2
+        au *= c2
+        au -= bu_s2
+        bu *= c2
+        bu += au_s2
     return applied_out, iterations, capped
 
 
@@ -414,7 +460,7 @@ def _outcomes(spec: TrialSpec) -> tuple:
     angle, coeffs = _trial_draws(operator.index(spec.seed), spec.trials,
                                  spec.coeff_bound)
     field = _entries(*coeffs) if spec.coefficient_space else tuple(coeffs)
-    copy = _conjugate(_mapped(math.cos, angle), _mapped(math.sin, angle), *field)
+    copy = _conjugate(np.cos(angle), np.sin(angle), *field)
 
     # detect raises DegenerateZeroFieldError when either field is zero.
     live = ~(np.logical_and.reduce([c == 0.0 for c in field])
@@ -424,7 +470,7 @@ def _outcomes(spec: TrialSpec) -> tuple:
     applied, iterations, capped = _detect_all(field, copy, spec.eps, spec.max_iter)
 
     back = -_mapped(wrap_angle, -applied)
-    recovered = _conjugate(_mapped(math.cos, back), _mapped(math.sin, back), *copy)
+    recovered = _conjugate(np.cos(back), np.sin(back), *copy)
     return live, _errors(np.subtract(recovered, field)), iterations, capped
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rotalign
+from rotalign import cli, detect
 from rotalign.cli import main
 
 
@@ -49,6 +50,21 @@ def test_detect_iteration_cap_exit_code(capsys):
     branches = [t["branch"] for t in payload["trace"]]
     assert branches.count("perturb") == 1
     assert branches.count("lock") == 1
+
+
+@pytest.mark.parametrize("flags, want", [((), False), (("--trace",), True),
+                                           (("--json",), False), (("--json", "--trace"), True)])
+def test_detect_builds_the_trace_only_when_printed(monkeypatch, capsys, flags, want):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("record_trace", True))
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "detect", spy)
+    code, _, _ = run_cli(capsys, "detect", "--field", "1,0.2,0.3,-1", "--alpha", "0.4", *flags)
+    assert code == 0
+    assert seen == [want]
 
 
 def test_detect_from_field_files(tmp_path, capsys):

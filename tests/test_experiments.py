@@ -361,3 +361,20 @@ def test_detect_all_applies_the_branch_rule(monkeypatch, handover, max_iter):
         assert capped[i] == (ref.status is DetectionStatus.MAX_ITER_EXCEEDED), i
     expected = {None, "perturb", "halve", "lock"} if max_iter >= 2 else {None, "perturb"}
     assert branches == expected
+
+
+def test_numpy_cos_sin_match_math_bit_for_bit():
+    # The campaign arrays turn by np.cos/np.sin where run_trial and detect
+    # use math.cos/math.sin; the golden reports rest on the two agreeing.
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, math.pi / 2, -math.pi / 2,
+               math.pi, -math.pi, 2 * math.pi, -np.nextafter(2 * math.pi, 0)]
+    angles = np.concatenate([special, np.random.default_rng(7).uniform(
+        -2 * math.pi, 2 * math.pi, 1_000_000)])
+    listed = angles.tolist()
+    for array_fn, float_fn in ((np.cos, math.cos), (np.sin, math.sin)):
+        want = np.fromiter(map(float_fn, listed), dtype=float, count=len(listed))
+        got = array_fn(angles)
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert not len(differ), (f"numpy's {array_fn.__name__} differs from math's on "
+                                 f"{len(differ)} angles, first {angles[differ[0]]!r}")
