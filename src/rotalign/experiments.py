@@ -397,7 +397,7 @@ def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
         running = np.greater(np.abs(phi), eps, out=mask[:len(phi)])
         kept = np.count_nonzero(running)
         if kept < len(phi) or iteration == max_iter:
-            # Stopped trials keep what this writes; the others overwrite it.
+            # Stopped trials keep what this writes; running ones are written again when they stop.
             applied_out[trial] = state[7]
             iterations[trial] = iteration
         if not kept:
