@@ -340,10 +340,14 @@ def _branch_pairs() -> tuple:
     return field, copy
 
 
-@pytest.mark.parametrize("handover", [0, None])
+@pytest.mark.parametrize("handover", [0, 100, None])
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 10000])
 def test_detect_all_applies_the_branch_rule(monkeypatch, handover, max_iter):
-    # None keeps the default handover; 0 keeps every trial in the array loop.
+    # The 120 perturb, lock and invariant pairs leave the array loop at
+    # reading 1 and the 80 halve pairs at reading 2, to rerun from their
+    # start.  0 keeps every other trial in the array loop; the default
+    # hands the rest over after reading 1, where _iterate halves, and
+    # 100 after reading 2.
     if handover is not None:
         monkeypatch.setattr(experiments, "_HANDOVER", handover)
     field, copy = _branch_pairs()
