@@ -16,14 +16,13 @@ generator it is given; ``run_campaign`` computes the same streams for
 all indices at once and runs every trial as arrays, bit for bit what
 ``run_trial`` gives on ``default_rng([seed, index])``.
 
-The array loop has ``detect``'s seam at reading 2.  Readings 1 and 2
-keep the accumulator and the kick, and pass to the branch rule only the
-trials it can act on: those whose accumulator is zero, plus the kicked
-ones at reading 2.  Later readings only read, turn and add, over one
-stacked array.  The turns take numpy's ``cos`` and ``sin``, which call
-the C library's functions just as ``math`` does, but every reading goes
-through ``math.atan2``, because numpy's ``arctan2`` is its own and
-differs in the last bit.
+The array loop knows only where the branch rule can act: at reading 1
+or 2, on a trial whose summed rotation is zero.  Such trials rerun from
+their start in ``detect``'s own loop, which holds the rule, and every
+pass only reads, turns and adds, over one stacked array.  The turns
+take numpy's ``cos`` and ``sin``, which call the C library's functions
+just as ``math`` does, but every reading goes through ``math.atan2``,
+because numpy's ``arctan2`` is its own and differs in the last bit.
 
 Detection accuracy degrades when the saddle and invariant energies of
 the drawn field differ by many orders of magnitude: the step size is
@@ -40,7 +39,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +62,6 @@ from .registration import (
     DetectionStatus,
     DetectorConfig,
     _iterate,
-    _special_case,
     detect,
 )
 
@@ -357,19 +355,16 @@ def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
     pattern coordinates and summed rotation sit in one stacked array
     ``[av, bv, au, bu, cc, dd, cross, applied]``, so a stop drops them
     with a single column selection.  Each pass reads every correlation
-    argument with ``math.atan2`` and turns the pattern in place.
+    argument with ``math.atan2``, adds it and turns the pattern in place.
 
-    As in ``detect``, the seam is at reading 2.  Readings 1 and 2 also
-    keep the accumulator and the kick, and hand to
-    ``registration._special_case`` only the trials where it can act:
-    perturb and halve need a zero accumulator, lock needs a kick.  Later
-    readings only read, turn and add.
-
-    The counts are heavy-tailed (at eps 0.1 the median trial stops after
-    3 iterations, the p99 after 263, and the top 1% hold 61% of all
-    iterations), so once at most ``_HANDOVER`` trials remain each
-    finishes in ``registration._iterate``, where a step costs less than
-    a pass over a few array elements.
+    Until a branch acts, detect's accumulator equals the summed rotation
+    bit for bit, so the branch rule can act only where that sum is within
+    ``_ZERO_TOL`` of zero at reading 1 or 2.  Those trials rerun from
+    their start in ``registration._iterate``, which holds the rule.  The
+    counts are heavy-tailed (at eps 0.1 the median trial stops after 3
+    iterations and the p99 after 263), so the last ``_HANDOVER`` trials
+    finish there too, where a step costs less than a pass over a few
+    array elements.
     """
     av, bv, cv, dv = _unit_scaled(_coordinates(*field))
     au, bu, cu, du = _unit_scaled(_coordinates(*copy))
@@ -381,14 +376,14 @@ def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
     iterations = np.zeros(n, dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
 
-    # The running trials' indices, stacked state, last reading, and the
-    # accumulator and kick of readings 1-2; the later loop never reads
-    # the last two, so they stop being kept after reading 2.
+    # The running trials' indices, stacked state and last reading.  The
+    # state is turned in place, so the reruns read their start from a copy.
     trial = np.arange(n)
-    state = np.stack([av, bv, au, bu, cu * cv, du * dv, cu * dv - du * cv, np.zeros(n)])
+    start = np.stack([av, bv, au, bu, cu * cv, du * dv, cu * dv - du * cv])
+    state = np.concatenate([start, np.zeros((1, n))])
     phi = np.full(n, math.pi)
-    acc = np.zeros(n)
-    kicked = np.zeros(n, dtype=bool)
+    rerun = []
+    handed = ()
     # numpy keeps freed blocks under 1 KiB for reuse, per byte size, so a
     # mask of every shrinking size would pile up; it gets one buffer.
     mask = np.empty(n, dtype=bool)
@@ -406,37 +401,25 @@ def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
             capped[trial] = running
             break
         if kept <= _HANDOVER:
-            early = zip(acc.tolist(), kicked.tolist()) if iteration < 2 else repeat((0.0, False))
-            rows = compress(zip(trial.tolist(), zip(*state.tolist()), phi.tolist(), early),
-                            running.tolist())
-            for i, (*coords, applied), last, (acc_i, kicked_i) in rows:
-                _, _, applied_out[i], iterations[i], capped[i] = _iterate(
-                    moment, *coords, eps, max_iter, last, acc_i, applied, iteration, kicked_i)
+            handed = compress(zip(trial.tolist(), zip(*state[:7].tolist()), state[7].tolist(),
+                                  repeat(iteration)), running.tolist())
             break
         if kept < len(phi):
             trial = trial[running]
             state = state[:, running]
             phi = phi[running]
-            if iteration < 2:
-                acc = acc[running]
-                kicked = kicked[running]
 
         av, bv, au, bu, cc, dd, cross, applied = state
         iteration += 1
         cor_s = moment * (au * av + bu * bv + cc + dd)
         cor_b = moment * ((au * bv - bu * av) - cross)
         phi = _mapped(math.atan2, cor_b, cor_s)
-        if iteration <= 2:
-            acc += phi
-            near = np.abs(acc) <= _ZERO_TOL
-            if iteration == 2:
-                near |= kicked
-            act = np.flatnonzero(near)
-            if len(act):
-                phi[act], acc[act], kicked[act], _ = zip(*map(
-                    _special_case, repeat(iteration), phi[act].tolist(),
-                    acc[act].tolist(), kicked[act].tolist()))
         applied += phi
+        if iteration <= 2:
+            near = np.flatnonzero(np.abs(applied) <= _ZERO_TOL)
+            if len(near):
+                rerun += trial[near].tolist()
+                phi[near] = 0.0
         twice = 2.0 * phi
         c2 = np.cos(twice)
         s2 = np.sin(twice)
@@ -446,6 +429,11 @@ def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
         au -= bu_s2
         bu *= c2
         bu += au_s2
+
+    reruns = zip(rerun, zip(*start[:, rerun].tolist()), repeat(0.0), repeat(0))
+    for i, coords, applied, iteration in chain(handed, reruns):
+        _, _, applied_out[i], iterations[i], capped[i] = _iterate(
+            moment, *coords, eps, max_iter, applied, iteration)
     return applied_out, iterations, capped
 
 

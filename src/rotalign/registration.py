@@ -194,22 +194,24 @@ def _unit_scaled(a: float, b: float, c: float, d: float) -> tuple:
 
 def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
              cc: float, dd: float, cross: float, eps: float, max_iter: int,
-             phi: float = math.pi, alpha_acc: float = 0.0, applied: float = 0.0,
-             iteration: int = 0, kicked: bool = False, trace: Optional[list] = None) -> tuple:
-    """``detect``'s loop, run from the given state to its stop.
+             applied: float = 0.0, iteration: int = 0, trace: Optional[list] = None) -> tuple:
+    """``detect``'s loop, resumed after ``iteration`` readings to its stop.
 
     (av, bv) and (au, bu) are the scaled saddle coordinates of the field
     and of the pattern; cc = cu*cv, dd = du*dv and cross = cu*dv - du*cv
     are the loop-invariant terms of the source/vortex pair, taken out of
-    the loop without changing a bit.  ``alpha_acc`` is the loop's own
-    accumulator, which the branches overwrite; ``applied`` is the sum of
-    the rotations actually applied to the pattern.  Entries are appended
-    to ``trace`` when one is given.  Returns (au, bu, applied, iteration,
-    capped).
+    the loop without changing a bit.  The trial must still be running,
+    and no branch may have acted on it, so the loop's own accumulator
+    (which the branches overwrite) starts at ``applied``, the rotation
+    applied so far.  Entries are appended to ``trace`` when one is
+    given.  Returns (au, bu, applied, iteration, capped).
     """
     atan2 = math.atan2
     cos = math.cos
     sin = math.sin
+    phi = math.pi
+    alpha_acc = applied
+    kicked = False
 
     while iteration < 2 and abs(phi) > eps:
         if iteration == max_iter:
