@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
@@ -433,21 +434,29 @@ def detect_sampled(v: SampledField, u: SampledField,
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ORACLE_GRID = 20001
 
 
-def oracle_detect(v: LinearField, u: LinearField, grid: int = 20001) -> float:
+def oracle_detect(v: LinearField, u: LinearField) -> float:
     """Brute-force ground truth for the offset, independent of correlation.
 
     Scans a uniform grid of candidate angles on (-pi/2, pi/2], scoring
     each by the Frobenius distance between v and the candidate's
     back-rotated copy of u (built by matrix conjugation), then refines
-    the best cell with golden-section search down to 1e-10.
+    the best cell with golden-section search down to 1e-10.  It refuses
+    the inputs ``detect`` refuses, with the same errors.
     """
+    if v.is_zero() or u.is_zero():
+        raise DegenerateZeroFieldError("the oracle needs two nonzero fields")
+    if u.domain != v.domain:
+        raise DomainMismatchError("oracle_detect needs both fields on the same domain")
+    if not all(map(math.isfinite, v.coefficients() + u.coefficients())):
+        raise ValueError("oracle_detect needs finite field coefficients")
     v_mat = v.matrix()
     a11, a12, a21, a22 = u.coefficients()
 
-    step = math.pi / grid
-    thetas = -0.5 * math.pi + step * np.arange(1, grid + 1)
+    step = math.pi / _ORACLE_GRID
+    thetas = -0.5 * math.pi + step * np.arange(1, _ORACLE_GRID + 1)
     c = np.cos(thetas)
     s = np.sin(thetas)
     # A' = R(-theta) A R(-theta)^T
@@ -491,15 +500,15 @@ def detect_known_pattern(pattern_saddle: LinearField, field: LinearField) -> flo
     Correlating the rotated field against the pattern's saddle part
     alone yields exp(-2*alpha*e12) times a positive norm (the invariant
     part of the field drops out over the symmetric domain), so the
-    offset is minus half the correlation argument.
+    offset is minus half the correlation argument.  As in ``rotalign
+    correlate``, a correlation that is zero or subnormal has no argument.
     """
     dec = decompose(pattern_saddle)
-    if dec.saddle_energy() == 0.0:
-        raise DegenerateZeroFieldError(
-            "known-pattern detection needs a nonzero saddle part")
-    if field.domain != pattern_saddle.domain:
-        raise DomainMismatchError("pattern and field must share a domain")
     saddle_only = recompose(Decomposition(dec.a, dec.b, 0.0, 0.0),
                             pattern_saddle.domain)
     cor = correlate_linear(field, saddle_only)
+    if not math.isfinite(cor.magnitude):
+        raise ValueError("known-pattern detection needs a correlation in the float range")
+    if cor.magnitude < sys.float_info.min:
+        raise DegenerateZeroFieldError("known-pattern detection needs nonzero saddle parts")
     return -0.5 * math.atan2(cor.value.b, cor.value.s)

@@ -27,6 +27,7 @@ from rotalign import (
     recompose,
     saddle,
     sample,
+    source,
     spinor_arg,
     total_rotate,
     vortex,
@@ -319,6 +320,21 @@ def test_oracle_recovers_wrapped_angles():
         assert angle_distance_mod_pi(got, theta) <= 1e-8
 
 
+def test_oracle_refuses_what_detect_refuses():
+    v = LinearField(0.4, -0.2, 0.9, 0.3)
+    zero = LinearField(0.0, 0.0, 0.0, 0.0)
+    for a, b in ((zero, v), (v, zero)):
+        with pytest.raises(DegenerateZeroFieldError):
+            oracle_detect(a, b)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            oracle_detect(v, LinearField(bad, 0.0, 0.0, 1.0))
+        with pytest.raises(ValueError):
+            oracle_detect(LinearField(0.3, bad, 0.0, 1.0), v)
+    with pytest.raises(DomainMismatchError):
+        oracle_detect(v, LinearField(*v.coefficients(), UNIT_DISK))
+
+
 # ------------------------------------------------- known-pattern shortcut
 
 def test_known_pattern_one_shot():
@@ -338,6 +354,34 @@ def test_known_pattern_projects_out_invariant_part():
 def test_known_pattern_needs_saddle_energy():
     with pytest.raises(DegenerateZeroFieldError):
         detect_known_pattern(vortex(), saddle())
+
+
+@pytest.mark.parametrize("field", [LinearField(0.0, 0.0, 0.0, 0.0), total_rotate(source(), 0.4)],
+                         ids=["zero", "no-saddle-part"])
+def test_known_pattern_refuses_a_zero_correlation(field):
+    # Such a field's correlation with the saddle part is zero, and has no argument.
+    with pytest.raises(DegenerateZeroFieldError):
+        detect_known_pattern(saddle(), field)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_known_pattern_refuses_non_finite_coefficients(bad):
+    with pytest.raises(ValueError):
+        detect_known_pattern(saddle(), LinearField(bad, 0.0, 0.0, 1.0))
+    with pytest.raises(ValueError):
+        detect_known_pattern(LinearField(0.3, bad, 0.0, 1.0), saddle())
+
+
+def test_known_pattern_refuses_an_overflowing_correlation():
+    # The products of two 1e200-scale fields overflow, and atan2 would read pi/4.
+    pattern = recompose(Decomposition(1e200, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        detect_known_pattern(pattern, total_rotate(pattern, 0.3))
+
+
+def test_known_pattern_needs_a_shared_domain():
+    with pytest.raises(DomainMismatchError):
+        detect_known_pattern(saddle(), saddle(UNIT_DISK))
 
 
 # ---------------------------------------------------------------- sampled
