@@ -373,7 +373,7 @@ def test_known_pattern_refuses_non_finite_coefficients(bad):
 
 
 def test_known_pattern_refuses_an_overflowing_correlation():
-    # The products of two 1e200-scale fields overflow, and atan2 would read pi/4.
+    # The products of two 1e200-scale fields overflow; unchecked, the answer reads pi/8.
     pattern = recompose(Decomposition(1e200, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         detect_known_pattern(pattern, total_rotate(pattern, 0.3))
