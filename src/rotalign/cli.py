@@ -155,8 +155,6 @@ def _cmd_correlate(args) -> int:
         else:
             cor = correlate_linear(pattern, field)
     v = cor.value
-    if not all(map(math.isfinite, (v.s, v.x, v.y, v.b, cor.magnitude))):
-        raise ValueError("the correlation leaves the float range at these coefficients")
     # Two nonzero fields whose value underflowed (or which are orthogonal)
     # have no argument; atan2 would read 0.
     if cor.magnitude < sys.float_info.min and not (field.is_zero() or pattern.is_zero()):

@@ -52,7 +52,8 @@ class CorrelationValue:
 
     ``argument`` is atan2(bivector, scalar) in (-pi, pi] and 0.0 for the
     all-zero value, which zero fields give, but so do orthogonal fields
-    (a saddle against a source) and products that underflow.
+    (a saddle against a source) and products that underflow.  A value that
+    is not finite has no argument, so ``from_multivector`` refuses it.
     """
 
     value: Multivector2
@@ -61,11 +62,10 @@ class CorrelationValue:
 
     @staticmethod
     def from_multivector(value: Multivector2) -> "CorrelationValue":
-        return CorrelationValue(
-            value=value,
-            argument=math.atan2(value.b, value.s),
-            magnitude=math.hypot(value.s, value.b),
-        )
+        magnitude = math.hypot(value.s, value.b)
+        if not math.isfinite(magnitude):  # finite exactly when both parts are
+            raise ValueError("the correlation value is not finite; its products overflow")
+        return CorrelationValue(value, math.atan2(value.b, value.s), magnitude)
 
 
 def field_norms(field: LinearField) -> tuple:

@@ -368,8 +368,6 @@ def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
     """
     av, bv, cv, dv = _unit_scaled(_coordinates(*field))
     au, bu, cu, du = _unit_scaled(_coordinates(*copy))
-    if not np.isfinite(av + bv + cv + dv + au + bu + cu + du).all():
-        raise ValueError("detect needs finite field coefficients")
     moment = second_moment(UNIT_SQUARE)
     n = len(av)
     applied_out = np.zeros(n)

@@ -157,6 +157,14 @@ class LinearField:
     a22: float
     domain: SymmetricDomain = UNIT_SQUARE
 
+    def __post_init__(self):
+        # Detection reads the basis coordinates; when they are finite, so are the entries.
+        a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22
+        if not (math.isfinite(a11 - a22) and math.isfinite(a11 + a22)
+                and math.isfinite(a12 + a21) and math.isfinite(a12 - a21)):
+            raise ValueError(f"field coefficients and their sums must be finite, "
+                             f"got {self.coefficients()!r}")
+
     def coefficients(self) -> tuple:
         return (self.a11, self.a12, self.a21, self.a22)
 
@@ -292,12 +300,17 @@ class SampledField:
     values[iy, ix] holds (v1, v2) at (centers[ix], centers[iy]); the
     row-major flattening therefore walks x1 fastest.  Cells whose center
     falls outside the domain are masked out and hold the zero vector.
+    Every value must be finite.
     """
 
     n: int
     domain: SymmetricDomain
     values: np.ndarray  # shape (n, n, 2)
     mask: np.ndarray    # shape (n, n), bool
+
+    def __post_init__(self):
+        if not np.isfinite(self.values).all():
+            raise ValueError("sampled field values must be finite")
 
     @property
     def cell_area(self) -> float:

@@ -291,10 +291,6 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     av, bv, cv, d_v, _ = _unit_scaled(*_coordinates(v.a11, v.a12, v.a21, v.a22))
     _, _, u_c, u_d = coords = _coordinates(u.a11, u.a12, u.a21, u.a22)
     au, bu, cu, d_u, u_exp = _unit_scaled(*coords)
-    # Finite scaled coordinates lie in (-1, 1), so their sum is finite
-    # exactly when every coordinate is.
-    if not math.isfinite(av + bv + cv + d_v + au + bu + cu + d_u):
-        raise ValueError("detect needs finite field coefficients")
 
     trace = [] if record_trace else None
     au, bu, applied, iteration, capped = _iterate(
@@ -383,8 +379,6 @@ def detect_sampled(v: SampledField, u: SampledField,
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
     v_peak = float(np.abs(v.values).max())
     u_peak = float(np.abs(u.values).max())
-    if not (math.isfinite(v_peak) and math.isfinite(u_peak)):
-        raise ValueError("detect_sampled needs finite samples")
     if v_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align against the zero field")
     if u_peak == 0.0:
@@ -450,8 +444,6 @@ def oracle_detect(v: LinearField, u: LinearField) -> float:
         raise DegenerateZeroFieldError("the oracle needs two nonzero fields")
     if u.domain != v.domain:
         raise DomainMismatchError("oracle_detect needs both fields on the same domain")
-    if not all(map(math.isfinite, v.coefficients() + u.coefficients())):
-        raise ValueError("oracle_detect needs finite field coefficients")
     v_mat = v.matrix()
     a11, a12, a21, a22 = u.coefficients()
 
@@ -507,8 +499,6 @@ def detect_known_pattern(pattern_saddle: LinearField, field: LinearField) -> flo
     saddle_only = recompose(Decomposition(dec.a, dec.b, 0.0, 0.0),
                             pattern_saddle.domain)
     cor = correlate_linear(field, saddle_only)
-    if not math.isfinite(cor.magnitude):
-        raise ValueError("known-pattern detection needs a correlation in the float range")
     if cor.magnitude < sys.float_info.min:
         raise DegenerateZeroFieldError("known-pattern detection needs nonzero saddle parts")
     return -0.5 * math.atan2(cor.value.b, cor.value.s)
