@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .correlation import correlate_linear, correlate_sampled, field_norms, second_moment
+from .correlation import correlate_linear, correlate_sampled, second_moment
 from .fields import (
     Decomposition,
     DomainMismatchError,
@@ -152,9 +152,13 @@ def phi_of_alpha(v: LinearField, alpha: float) -> float:
     """Closed-form correlation argument for the copy rotated by alpha.
 
     Equals atan2(-sin(2*alpha)*n1, cos(2*alpha)*n1 + n2) with (n1, n2)
-    the saddle/invariant squared norms of v.
+    the saddle/invariant squared norms of v, read like ``detect`` from
+    coordinates scaled by a power of two, so at any scale.
     """
-    n1, n2 = field_norms(v)
+    a, b, c, d, _ = _unit_scaled(*_coordinates(v.a11, v.a12, v.a21, v.a22))
+    moment = second_moment(v.domain)
+    n1 = (a * a + b * b) * moment
+    n2 = (c * c + d * d) * moment
     if n1 + n2 == 0.0:
         raise DegenerateZeroFieldError("phi is undefined for the zero field")
     return math.atan2(-math.sin(2.0 * alpha) * n1,
@@ -437,14 +441,19 @@ def oracle_detect(v: LinearField, u: LinearField) -> float:
     Scans a uniform grid of candidate angles on (-pi/2, pi/2], scoring
     each by the Frobenius distance between v and the candidate's
     back-rotated copy of u (built by matrix conjugation), then refines
-    the best cell with golden-section search down to 1e-10.  It refuses
-    the inputs ``detect`` refuses, with the same errors.
+    the best cell with golden-section search down to 1e-10.  Both fields
+    are first scaled by one power of two, which is exact and keeps the
+    squared distances in range, so the answer is the same at any scale.
+    It raises the errors ``detect`` raises for zero fields and mismatched
+    domains; non-finite fields are refused when they are built.
     """
     if v.is_zero() or u.is_zero():
         raise DegenerateZeroFieldError("the oracle needs two nonzero fields")
     if u.domain != v.domain:
         raise DomainMismatchError("oracle_detect needs both fields on the same domain")
-    v_mat = v.matrix()
+    _, e = math.frexp(max(map(abs, v.coefficients() + u.coefficients())))
+    v_mat = np.ldexp(v.matrix(), -e)
+    u = LinearField(*(math.ldexp(x, -e) for x in u.coefficients()), u.domain)
     a11, a12, a21, a22 = u.coefficients()
 
     step = math.pi / _ORACLE_GRID
@@ -493,7 +502,9 @@ def detect_known_pattern(pattern_saddle: LinearField, field: LinearField) -> flo
     alone yields exp(-2*alpha*e12) times a positive norm (the invariant
     part of the field drops out over the symmetric domain), so the
     offset is minus half the correlation argument.  As in ``rotalign
-    correlate``, a correlation that is zero or subnormal has no argument.
+    correlate``, a correlation that is zero or subnormal has no argument
+    (``DegenerateZeroFieldError``), and one that overflows is refused by
+    ``correlate_linear`` (``ValueError``).
     """
     dec = decompose(pattern_saddle)
     saddle_only = recompose(Decomposition(dec.a, dec.b, 0.0, 0.0),

@@ -212,3 +212,13 @@ def test_sampled_agrees_with_closed_form_on_rotated_copy():
     got = correlate_sampled(sample(u, 256), sample(v, 256))
     assert abs(got.argument - exact.argument) <= 1e-4
     assert abs(got.magnitude - exact.magnitude) <= 1e-4 * exact.magnitude
+
+
+def test_overflowing_correlation_is_refused():
+    # Unrefused, the linear backend returned scalar inf and argument -pi/4, not -0.6.
+    v = LinearField(1e200, 0.0, 0.0, -1e200)
+    u = total_rotate(v, 0.3)
+    with pytest.raises(ValueError, match="finite"):
+        correlate_linear(u, v)
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+        correlate_sampled(sample(u, 16), sample(v, 16))

@@ -270,6 +270,10 @@ BULK_SPECS = [
     dict(trials=300, eps=1e-3, seed=11, coeff_bound=5e-324),   # degenerate trials
     dict(trials=300, eps=1e-3, seed=12, max_iter=3),
     dict(trials=300, eps=4.0, seed=13),                         # no iteration at all
+    # The largest bound TrialSpec accepts keeps every coordinate finite.
+    dict(trials=200, eps=1e-3, seed=17, coeff_bound=sys.float_info.max / 4),
+    dict(trials=200, eps=1e-3, seed=18, coeff_bound=sys.float_info.max / 4,
+         coefficient_space=True),
 ]
 
 

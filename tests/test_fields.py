@@ -271,3 +271,37 @@ def test_domain_validation():
 def test_field_json_round_trip():
     f = LinearField(1.5, -0.25, 0.0, 2.0, SymmetricDomain.disk(0.75))
     assert LinearField.from_json_dict(f.to_json_dict()) == f
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_field_refuses_non_finite_coefficients(bad, slot):
+    coeffs = [0.4, -0.2, 0.9, 0.3]
+    coeffs[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LinearField(*coeffs)
+
+
+def test_field_refuses_overflowing_coordinates():
+    # Every entry is finite, but a11 - a22 overflows, and detection reads
+    # that coordinate: unrefused, detect capped at 0.3927 instead of raising.
+    with pytest.raises(ValueError, match="finite"):
+        LinearField(1.7e308, 0.3, 0.2, -1.7e308)
+    with pytest.raises(ValueError, match="finite"):
+        LinearField.from_json_dict({"a11": math.nan, "a12": 0.0, "a21": 0.0, "a22": 1.0})
+    # The saddle pair turns by pi/4 onto b, which then overflows.
+    big = LinearField(8e307, 8e307, 8e307, -8e307)
+    total_rotate(big, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        total_rotate(big, math.pi / 8)
+
+
+def test_sample_refuses_non_finite_values_inside_the_domain():
+    def nan_off_disk(x1, x2):
+        outside = x1 * x1 + x2 * x2 > 1.0
+        return np.where(outside, np.nan, x1), np.where(outside, np.nan, x2)
+
+    # Cells outside the domain are zeroed before the check.
+    assert np.isfinite(sample(nan_off_disk, 16, UNIT_DISK).values).all()
+    with pytest.raises(ValueError, match="finite"):
+        sample(nan_off_disk, 16, UNIT_SQUARE)

@@ -84,6 +84,14 @@ def test_phi_zero_field_raises():
         phi_of_alpha(LinearField(0.0, 0.0, 0.0, 0.0), 0.3)
 
 
+def test_phi_at_any_scale():
+    # Unscaled, the norms overflowed (-pi/4) or underflowed (a zero-field error).
+    unit = phi_of_alpha(LinearField(1.0, 0.0, 0.0, -1.0), 0.3)
+    assert math.isclose(unit, -0.6, rel_tol=1e-15)
+    assert phi_of_alpha(LinearField(1e200, 0.0, 0.0, -1e200), 0.3) == unit
+    assert phi_of_alpha(LinearField(1e-200, 0.0, 0.0, -1e-200), 0.3) == unit
+
+
 def test_phi_band_and_sign_on_grid():
     # sign(phi) opposite to sign(alpha) (or zero), and |phi| <= 2|alpha|
     rng = np.random.default_rng(42)
@@ -318,6 +326,16 @@ def test_oracle_recovers_wrapped_angles():
         theta = math.pi - 2 * math.pi * rng.random()
         got = oracle_detect(v, total_rotate(v, theta))
         assert angle_distance_mod_pi(got, theta) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [1e200, 1e-160, 1e-200, 1e300])
+def test_oracle_at_any_scale(k):
+    # Unscaled, the squared distances overflowed or underflowed: -pi/2 at
+    # 1e-200 and 0.6776 at 1e-160, where the offset is 0.7.
+    v = scaled(LinearField(0.4, -0.2, 0.9, 0.3), k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(oracle_detect(v, total_rotate(v, 0.7)) - 0.7) <= 1e-9
 
 
 def test_oracle_refuses_what_detect_refuses():
