@@ -40,8 +40,13 @@ on the first negative reading, which is the common case.
 
 Linear fields are closed under total rotation, so the loop updates the
 copy exactly (the saddle coefficient pair rotates by 2*phi) instead of
-resampling.  ``detect_sampled`` is the grid-backed variant; it
-re-interpolates the copy each step and is therefore approximate.
+resampling.  ``detect_sampled`` is the grid-backed entry point.  It
+projects both samples onto linear fields by four grid moments, and when
+both reproduce their samples to ``_LINEAR_TOL`` = 1e-12 (relative
+residual over all cells) it answers with ``detect`` on the projections.
+Any other pair runs the same loop on the samples, with quadrature
+correlation and a copy re-interpolated each step, and is therefore
+approximate.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, Optional
@@ -86,6 +91,8 @@ __all__ = [
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
 _ZERO_TOL = 1e-9
+_LINEAR_TOL = 1e-12  # relative residual under which a sample counts as linear
+_MAX_EXP = sys.float_info.max_exp
 
 
 class DegenerateZeroFieldError(ValueError):
@@ -295,6 +302,16 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     av, bv, cv, d_v, _ = _unit_scaled(*_coordinates(v.a11, v.a12, v.a21, v.a22))
     _, _, u_c, u_d = coords = _coordinates(u.a11, u.a12, u.a21, u.a22)
     au, bu, cu, d_u, u_exp = _unit_scaled(*coords)
+    # A turn moves the saddle pair anywhere on its circle of radius
+    # h = hypot(a, b), so some turn overflows an entry of the corrected
+    # pattern (a' + c, ...) or a sum of entries (2 a', ...) when
+    # h + max(h, |c|, |d|) overflows.  Scaled, that is below 4, so only
+    # the top two exponents need the test.
+    if u_exp >= _MAX_EXP - 1:
+        h = math.hypot(au, bu)
+        if math.frexp(h + max(h, abs(cu), abs(d_u)))[1] + u_exp > _MAX_EXP:
+            raise ValueError(f"pattern {u.coefficients()!r} is too large: some turn of it "
+                             f"overflows its entries")
 
     trace = [] if record_trace else None
     au, bu, applied, iteration, capped = _iterate(
@@ -370,14 +387,62 @@ def _resampler(original: SampledField) -> Callable[[float], SampledField]:
     return rotate
 
 
+def _linear_fit(s: SampledField) -> Optional[LinearField]:
+    """The linear field whose masked samples match s to ``_LINEAR_TOL``, or None.
+
+    The cell centers and the domain's mask are symmetric in both axes
+    and under a quarter turn, so on the masked grid sum x1*x2 = 0 and
+    sum x1^2 = sum x2^2, and least squares gives a_ij = sum v_i x_j /
+    sum x_j^2.  The moments run over every cell, which is the masked
+    grid when the cells outside the domain hold zero, as ``sample``
+    leaves them.  The relative residual is taken over every cell too, so
+    a sample with anything else outside the domain is not linear.
+    """
+    x = s.centers()
+    weight = float(np.count_nonzero(s.mask, axis=0) @ (x * x))
+    if weight == 0.0:
+        return None
+    # (a11, a21): sum down the columns, then weight by x1.  (a12, a22):
+    # weight the rows by x2, then sum over the cells.
+    along_x1 = x @ s.values.sum(axis=0) / weight
+    along_x2 = (x @ s.values.reshape(s.n, -1)).reshape(-1, 2).sum(axis=0) / weight
+    fit = LinearField(float(along_x1[0]), float(along_x2[0]),
+                      float(along_x1[1]), float(along_x2[1]), s.domain)
+    misfit = _grid_values(fit, s)
+    misfit -= s.values
+    if np.vdot(misfit, misfit) > _LINEAR_TOL * _LINEAR_TOL * np.vdot(s.values, s.values):
+        return None
+    return fit
+
+
+def _grid_values(f: LinearField, like: SampledField) -> np.ndarray:
+    """f's values at the cell centers of ``like``, zero outside its mask.
+
+    Bit for bit what ``sample`` gives: the same products, added in the
+    other order, which rounds alike.  Rows are built as (n, 2n) planes
+    and cells masked as complex pairs, so no pass runs over an axis of 2.
+    """
+    x = like.centers()
+    n = like.n
+    values = np.multiply.outer(x, np.tile((f.a12, f.a22), n))   # x2 terms, row y
+    values += np.multiply.outer(x, (f.a11, f.a21)).ravel()       # x1 terms, cell x
+    values = values.reshape(n, n, 2)
+    np.copyto(values.view(complex)[:, :, 0], 0.0, where=~like.mask)
+    return values
+
+
 def detect_sampled(v: SampledField, u: SampledField,
                    cfg: DetectorConfig = DetectorConfig()) -> DetectionResult:
-    """Grid-backed detection: same loop, quadrature correlation, resampled copy.
+    """Grid-backed detection: ``detect`` on linear samples, the resample loop on others.
 
-    The copy is always re-interpolated from the original samples at the
-    accumulated angle, so interpolation error does not compound.  Like
-    ``detect``, it scales each field by a power of two first, so the
-    answer is the same at any scale; ``corrected`` is scaled back.
+    Each field is first scaled by a power of two, so the answer is the
+    same at any scale.  When both scaled samples are linear to
+    ``_LINEAR_TOL`` = 1e-12 (relative residual over all cells; see
+    ``_linear_fit``), the answer is ``detect`` on the two projected
+    linear fields, and ``corrected`` holds the masked samples of its
+    corrected field.  Otherwise ``_detect_by_resampling`` runs the loop
+    on the samples, and ``corrected`` is its last resampled copy.  Either
+    way ``corrected`` is scaled back to the pattern's scale.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
@@ -390,8 +455,30 @@ def detect_sampled(v: SampledField, u: SampledField,
     _, v_exp = math.frexp(v_peak)
     _, u_exp = math.frexp(u_peak)
     v = SampledField(v.n, v.domain, np.ldexp(v.values, -v_exp), v.mask)
-    current = SampledField(u.n, u.domain, np.ldexp(u.values, -u_exp), u.mask)
-    rotate = _resampler(current)
+    u = SampledField(u.n, u.domain, np.ldexp(u.values, -u_exp), u.mask)
+
+    v_fit = _linear_fit(v)
+    u_fit = _linear_fit(u) if v_fit is not None else None
+    if u_fit is None:
+        result = _detect_by_resampling(v, u, cfg)
+        values = result.corrected.values
+    else:
+        result = detect(v_fit, u_fit, cfg)
+        values = _grid_values(result.corrected, u)
+    np.ldexp(values, u_exp, out=values)
+    return replace(result, corrected=SampledField(u.n, u.domain, values, u.mask))
+
+
+def _detect_by_resampling(v: SampledField, u: SampledField,
+                          cfg: DetectorConfig) -> DetectionResult:
+    """``detect``'s loop on samples: quadrature correlation, resampled copy.
+
+    The copy is always re-interpolated from the original samples at the
+    accumulated angle, so interpolation error does not compound.
+    ``corrected`` is the last copy, at the scale of u.
+    """
+    current = u
+    rotate = _resampler(u)
 
     phi = math.pi
     alpha_acc = 0.0
@@ -427,7 +514,7 @@ def detect_sampled(v: SampledField, u: SampledField,
         iterations=iteration,
         trace=tuple(trace),
         status=status,
-        corrected=SampledField(u.n, u.domain, np.ldexp(current.values, u_exp), u.mask),
+        corrected=current,
     )
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from rotalign import (
     detect,
     detect_known_pattern,
     detect_sampled,
+    double_winding,
     field_norms,
     oracle_detect,
     phi_of_alpha,
@@ -33,7 +35,8 @@ from rotalign import (
     vortex,
     wrap_angle,
 )
-from rotalign.registration import _resampler
+from rotalign import registration
+from rotalign.registration import _detect_by_resampling, _linear_fit, _resampler
 
 
 def angle_distance_mod_pi(a: float, b: float) -> float:
@@ -207,6 +210,27 @@ def test_detect_scale_invariance():
     r2 = detect(v2, u2, DetectorConfig(eps=1e-6))
     assert r1.alpha == r2.alpha
     assert r1.iterations == r2.iterations
+
+
+def test_detect_refuses_a_pattern_too_large_to_turn():
+    # Some turn of this pattern has a12 + a21 past the largest double: it is
+    # refused up front, by name, not after the loop about its corrected copy.
+    with pytest.raises(ValueError, match=r"pattern \(8e\+307, 8e\+307, 8e\+307, -8e\+307\)"):
+        detect(LinearField(0.0, 1.0, 1.0, 0.0), LinearField(8e307, 8e307, 8e307, -8e307))
+    # Saddle radius h and source c: refused when h + max(h, c) overflows.
+    big = sys.float_info.max
+    for radius, refused in ((0.51, True), (0.49, False)):
+        v = recompose(Decomposition(radius * big * math.cos(0.2), radius * big * math.sin(0.2),
+                                    0.47 * big, 0.0))
+        u = recompose(Decomposition(radius * big * math.cos(0.8), radius * big * math.sin(0.8),
+                                    0.47 * big, 0.0))   # v totally rotated by 0.3
+        if refused:
+            with pytest.raises(ValueError, match="too large"):
+                detect(v, u)
+        else:
+            result = detect(v, u)
+            assert result.converged()
+            assert angle_distance_mod_pi(result.alpha, 0.3) <= 1e-6
 
 
 def test_detect_input_validation():
@@ -503,34 +527,144 @@ def test_resampler_matches_reference_bit_for_bit(domain, n):
      "2dcfc0ac2f380f920e2c1ccc0c871e25a91317a038d56fe5824ea38f355c9a83"),
 ])
 def test_detect_sampled_is_pinned(domain, theta, alpha, digest):
-    # The answers the reference resampler produced, bit for bit.
+    # The answers the reference resampler produced, bit for bit.  Linear
+    # samples now go through the projection, so the loop is called directly.
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
-    result = detect_sampled(sample(v, 64), sample(total_rotate(v, theta), 64),
-                            DetectorConfig(eps=1e-6))
+    result = _detect_by_resampling(sample(v, 64), sample(total_rotate(v, theta), 64),
+                                   DetectorConfig(eps=1e-6))
     assert repr(result.alpha) == repr(alpha)
     assert result.iterations == 8
     assert hashlib.sha256(result.corrected.values.tobytes()).hexdigest() == digest
 
 
-def test_detect_sampled_scale_invariance():
+def test_detect_sampled_scale_invariance(monkeypatch):
+    # Both routes: linear samples go through the projection; a 1e-6
+    # quadratic bend in the pattern sends the pair through the loop.
+    loops = _count_loop_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     u = total_rotate(v, 0.3)
     cfg = DetectorConfig(eps=1e-6)
-    base = detect_sampled(sample(v, 32), sample(u, 32), cfg)
-    assert base.converged()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for k in (1e200, 1e-200):
-            r = detect_sampled(sample(scaled(v, k), 32), sample(scaled(u, k), 32), cfg)
-            assert r.converged()
-            assert abs(r.alpha - base.alpha) <= 1e-9
-        for j in (-1000, -3, 5, 1000):
-            k = 2.0 ** j
-            r = detect_sampled(sample(scaled(v, k), 32), sample(scaled(u, k), 32), cfg)
-            assert r.alpha == base.alpha
-            assert r.iterations == base.iterations
-            assert r.trace == base.trace
-            assert np.array_equal(r.corrected.values, base.corrected.values * k)
+    for bend, route in ((0.0, 0), (1e-6, 1)):
+        def pair(k):
+            return sample(scaled(v, k), 32), _bent(sample(scaled(u, k), 32), k * bend)
+
+        loops.clear()
+        base = detect_sampled(*pair(1.0), cfg)
+        assert base.converged()
+        assert len(loops) == route
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1e200, 1e-200):
+                r = detect_sampled(*pair(k), cfg)
+                assert r.converged()
+                assert abs(r.alpha - base.alpha) <= 1e-9
+            for j in (-1000, -3, 5, 1000):
+                k = 2.0 ** j
+                r = detect_sampled(*pair(k), cfg)
+                assert r.alpha == base.alpha
+                assert r.iterations == base.iterations
+                assert r.trace == base.trace
+                assert np.array_equal(r.corrected.values, base.corrected.values * k)
+        assert len(loops) == 7 * route
+
+
+def _count_loop_calls(monkeypatch) -> list:
+    """Spy on the resample loop: the returned list gains one entry per call."""
+    calls = []
+    loop = registration._detect_by_resampling
+
+    def spy(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(registration, "_detect_by_resampling", spy)
+    return calls
+
+
+def _bent(s: SampledField, size: float) -> SampledField:
+    """s plus size * x1 * x2 in its first component, inside the mask."""
+    x = s.centers()
+    values = s.values.copy()
+    values[:, :, 0] += size * np.where(s.mask, np.multiply.outer(x, x), 0.0)
+    return SampledField(s.n, s.domain, values, s.mask)
+
+
+@pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), SymmetricDomain.disk(2.5)])
+@pytest.mark.parametrize("n", [8, 33, 512])
+def test_linear_fit_recovers_sampled_coefficients(domain, n):
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 1e-3, 7.5):
+        f = LinearField(*(scale * rng.uniform(-1, 1, 4)), domain)
+        fit = _linear_fit(sample(f, n))
+        assert fit.domain == domain
+        worst = max(abs(a - b) for a, b in zip(fit.coefficients(), f.coefficients()))
+        assert worst <= 1e-14 * max(map(abs, f.coefficients()))
+
+
+LINEAR_ROUTE_CASES = [
+    # (v, offset, cfg): generic, aligned (perturb), pure saddle (halve),
+    # aligned pure saddle (perturb, lock), pure invariant, capped.
+    (recompose(Decomposition(0.7, -0.2, 0.5, 0.4)), 0.7, DetectorConfig(eps=1e-8)),
+    (recompose(Decomposition(0.7, -0.2, 0.5, 0.4)), 0.0, DetectorConfig(eps=1e-8)),
+    (recompose(Decomposition(0.6, 0.3, 0.0, 0.0)), 0.3, DetectorConfig(eps=1e-8)),
+    (recompose(Decomposition(0.6, 0.3, 0.0, 0.0)), 0.0, DetectorConfig(eps=1e-8)),
+    (vortex(), 0.5, DetectorConfig(eps=1e-8)),
+    (recompose(Decomposition(0.1, 0.05, 1.0, -0.4)), -1.2, DetectorConfig(eps=1e-8, max_iter=3)),
+]
+
+
+@pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), SymmetricDomain.disk(2.5)])
+def test_detect_sampled_projects_linear_samples(domain, monkeypatch):
+    loops = _count_loop_calls(monkeypatch)
+    seen = set()
+    for v, offset, cfg in LINEAR_ROUTE_CASES:
+        v = LinearField(*v.coefficients(), domain)
+        u = total_rotate(v, offset)
+        want = detect(v, u, cfg)
+        got = detect_sampled(sample(v, 32), sample(u, 32), cfg)
+        assert angle_distance_mod_pi(got.alpha, want.alpha) <= 1e-12
+        assert got.iterations == want.iterations
+        assert got.status is want.status
+        branches = [t.branch for t in got.trace]
+        assert branches == [t.branch for t in want.trace]
+        seen.update(branches)
+        expected = sample(want.corrected, 32).values
+        assert np.allclose(got.corrected.values, expected, rtol=0.0,
+                           atol=1e-13 * np.abs(expected).max())
+    assert seen == {None, "perturb", "halve", "lock"}
+    assert loops == []
+
+
+def _with_outside_value(s: SampledField) -> SampledField:
+    values = s.values.copy()
+    values[0, 0] = (0.25, -0.5)   # a corner cell, outside the disk
+    return SampledField(s.n, s.domain, values, s.mask)
+
+
+@pytest.mark.parametrize("pair, cfg", [
+    (lambda: (sample(double_winding(), 32, UNIT_DISK),
+              sample(double_winding(0.4), 32, UNIT_DISK)),
+     DetectorConfig(eps=1e-6, max_iter=6)),
+    (lambda: (sample(recompose(Decomposition(0.7, -0.2, 0.5, 0.4)), 32),
+              _bent(sample(total_rotate(recompose(Decomposition(0.7, -0.2, 0.5, 0.4)), 0.4), 32),
+                    1e-6)),
+     DetectorConfig(eps=1e-6)),
+    (lambda: (sample(recompose(Decomposition(0.7, -0.2, 0.5, 0.4), UNIT_DISK), 32),
+              _with_outside_value(sample(
+                  total_rotate(recompose(Decomposition(0.7, -0.2, 0.5, 0.4), UNIT_DISK), 0.4), 32))),
+     DetectorConfig(eps=1e-6)),
+], ids=["double-winding", "quadratic-bend", "outside-value"])
+def test_detect_sampled_loops_over_nonlinear_samples(pair, cfg, monkeypatch):
+    loops = _count_loop_calls(monkeypatch)
+    sv, su = pair()
+    want = _detect_by_resampling(sv, su, cfg)
+    got = detect_sampled(sv, su, cfg)
+    assert len(loops) == 1
+    assert got.alpha == want.alpha
+    assert got.iterations == want.iterations
+    assert got.status is want.status
+    assert got.trace == want.trace
+    assert got.corrected.values.tobytes() == want.corrected.values.tobytes()
 
 
 def test_wrap_angle_used_for_result():
