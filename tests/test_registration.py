@@ -641,22 +641,18 @@ def _with_outside_value(s: SampledField) -> SampledField:
     return SampledField(s.n, s.domain, values, s.mask)
 
 
-@pytest.mark.parametrize("pair, cfg", [
-    (lambda: (sample(double_winding(), 32, UNIT_DISK),
-              sample(double_winding(0.4), 32, UNIT_DISK)),
-     DetectorConfig(eps=1e-6, max_iter=6)),
-    (lambda: (sample(recompose(Decomposition(0.7, -0.2, 0.5, 0.4)), 32),
-              _bent(sample(total_rotate(recompose(Decomposition(0.7, -0.2, 0.5, 0.4)), 0.4), 32),
-                    1e-6)),
-     DetectorConfig(eps=1e-6)),
-    (lambda: (sample(recompose(Decomposition(0.7, -0.2, 0.5, 0.4), UNIT_DISK), 32),
-              _with_outside_value(sample(
-                  total_rotate(recompose(Decomposition(0.7, -0.2, 0.5, 0.4), UNIT_DISK), 0.4), 32))),
-     DetectorConfig(eps=1e-6)),
-], ids=["double-winding", "quadratic-bend", "outside-value"])
-def test_detect_sampled_loops_over_nonlinear_samples(pair, cfg, monkeypatch):
+@pytest.mark.parametrize("kind", ["double-winding", "quadratic-bend", "outside-value"])
+def test_detect_sampled_loops_over_nonlinear_samples(kind, monkeypatch):
     loops = _count_loop_calls(monkeypatch)
-    sv, su = pair()
+    cfg = DetectorConfig(eps=1e-6, max_iter=6)
+    if kind == "double-winding":
+        sv = sample(double_winding(), 32, UNIT_DISK)
+        su = sample(double_winding(0.4), 32, UNIT_DISK)
+    else:
+        domain = UNIT_DISK if kind == "outside-value" else SymmetricDomain.square(1.0)
+        v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
+        sv, su = sample(v, 32), sample(total_rotate(v, 0.4), 32)
+        su = _bent(su, 1e-6) if kind == "quadratic-bend" else _with_outside_value(su)
     want = _detect_by_resampling(sv, su, cfg)
     got = detect_sampled(sv, su, cfg)
     assert len(loops) == 1
