@@ -349,26 +349,39 @@ def sample(field: FieldLike, n: int, domain: SymmetricDomain | None = None) -> S
     length = domain.bounding_half_side
     h = 2.0 * length / n
     centers = -length + (np.arange(n) + 0.5) * h
-    x1, x2 = np.meshgrid(centers, centers, indexing="xy")
-    mask = domain.contains_grid(x1, x2)
-
-    values = np.zeros((n, n, 2), dtype=float)
+    mask = domain.contains_grid(centers[None, :], centers[:, None])
     if isinstance(field, LinearField):
-        values[:, :, 0] = field.a11 * x1 + field.a12 * x2
-        values[:, :, 1] = field.a21 * x1 + field.a22 * x2
-    else:
-        try:
-            v1, v2 = field(x1, x2)
-            values[:, :, 0] = np.broadcast_to(v1, (n, n))
-            values[:, :, 1] = np.broadcast_to(v2, (n, n))
-        except (TypeError, ValueError):
-            for iy in range(n):
-                for ix in range(n):
-                    v1, v2 = field(centers[ix], centers[iy])
-                    values[iy, ix, 0] = v1
-                    values[iy, ix, 1] = v2
+        return SampledField(n, domain, _grid_values(field, centers, mask), mask)
+
+    x1, x2 = np.meshgrid(centers, centers, indexing="xy")
+    values = np.zeros((n, n, 2), dtype=float)
+    try:
+        v1, v2 = field(x1, x2)
+        values[:, :, 0] = np.broadcast_to(v1, (n, n))
+        values[:, :, 1] = np.broadcast_to(v2, (n, n))
+    except (TypeError, ValueError):
+        for iy in range(n):
+            for ix in range(n):
+                v1, v2 = field(centers[ix], centers[iy])
+                values[iy, ix, 0] = v1
+                values[iy, ix, 1] = v2
     values[~mask] = 0.0
     return SampledField(n, domain, values, mask)
+
+
+def _grid_values(field: LinearField, centers: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The field's values at the cell centers, zero outside the (n, n) mask.
+
+    Rows are built as (n, 2n) planes from outer products, x2 term first,
+    and cells masked as complex pairs, so no pass runs over an axis of 2
+    and no (n, n) coordinate grid is built.
+    """
+    n = len(centers)
+    values = np.multiply.outer(centers, np.tile((field.a12, field.a22), n))  # x2 terms, row y
+    values += np.multiply.outer(centers, (field.a11, field.a21)).ravel()    # x1 terms, cell x
+    values = values.reshape(n, n, 2)
+    np.copyto(values.view(complex)[:, :, 0], 0.0, where=~mask)
+    return values
 
 
 def double_winding(alpha: float = 0.0) -> Callable:

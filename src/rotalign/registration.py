@@ -69,6 +69,7 @@ from .fields import (
     SampledField,
     _coordinates,
     _entries,
+    _grid_values,
     decompose,
     recompose,
     total_rotate,
@@ -408,27 +409,11 @@ def _linear_fit(s: SampledField) -> Optional[LinearField]:
     along_x2 = (x @ s.values.reshape(s.n, -1)).reshape(-1, 2).sum(axis=0) / weight
     fit = LinearField(float(along_x1[0]), float(along_x2[0]),
                       float(along_x1[1]), float(along_x2[1]), s.domain)
-    misfit = _grid_values(fit, s)
+    misfit = _grid_values(fit, x, s.mask)
     misfit -= s.values
     if np.vdot(misfit, misfit) > _LINEAR_TOL * _LINEAR_TOL * np.vdot(s.values, s.values):
         return None
     return fit
-
-
-def _grid_values(f: LinearField, like: SampledField) -> np.ndarray:
-    """f's values at the cell centers of ``like``, zero outside its mask.
-
-    Bit for bit what ``sample`` gives: the same products, added in the
-    other order, which rounds alike.  Rows are built as (n, 2n) planes
-    and cells masked as complex pairs, so no pass runs over an axis of 2.
-    """
-    x = like.centers()
-    n = like.n
-    values = np.multiply.outer(x, np.tile((f.a12, f.a22), n))   # x2 terms, row y
-    values += np.multiply.outer(x, (f.a11, f.a21)).ravel()       # x1 terms, cell x
-    values = values.reshape(n, n, 2)
-    np.copyto(values.view(complex)[:, :, 0], 0.0, where=~like.mask)
-    return values
 
 
 def detect_sampled(v: SampledField, u: SampledField,
@@ -464,7 +449,7 @@ def detect_sampled(v: SampledField, u: SampledField,
         values = result.corrected.values
     else:
         result = detect(v_fit, u_fit, cfg)
-        values = _grid_values(result.corrected, u)
+        values = _grid_values(result.corrected, u.centers(), u.mask)
     np.ldexp(values, u_exp, out=values)
     return replace(result, corrected=SampledField(u.n, u.domain, values, u.mask))
 
