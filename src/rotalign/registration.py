@@ -427,7 +427,9 @@ def detect_sampled(v: SampledField, u: SampledField,
     linear fields, and ``corrected`` holds the masked samples of its
     corrected field.  Otherwise ``_detect_by_resampling`` runs the loop
     on the samples, and ``corrected`` is its last resampled copy.  Either
-    way ``corrected`` is scaled back to the pattern's scale.
+    way ``corrected`` is scaled back to the pattern's scale; a turned
+    copy can peak above the samples, and a pattern whose copy would then
+    overflow is refused with ``ValueError``.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
@@ -450,6 +452,11 @@ def detect_sampled(v: SampledField, u: SampledField,
     else:
         result = detect(v_fit, u_fit, cfg)
         values = _grid_values(result.corrected, u.centers(), u.mask)
+    # A turned copy can peak above its pattern (by up to sqrt(2) for a
+    # saddle on the square), so it may overflow where the samples did not.
+    if math.frexp(max(values.max(), -values.min()))[1] + u_exp > _MAX_EXP:
+        raise ValueError(f"pattern samples (peak {u_peak!r}) are too large: their "
+                         f"corrected copy overflows")
     np.ldexp(values, u_exp, out=values)
     return replace(result, corrected=SampledField(u.n, u.domain, values, u.mask))
 

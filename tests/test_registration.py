@@ -428,21 +428,57 @@ def test_known_pattern_needs_a_shared_domain():
 
 # ---------------------------------------------------------------- sampled
 
-def test_detect_sampled_linear_pair():
+def test_detect_sampled_linear_pair(monkeypatch):
+    # Both routes: a 1e-6 quadratic bend in the pattern sends it through the loop.
+    loops = _count_loop_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     u = total_rotate(v, 0.35)
-    result = detect_sampled(sample(v, 256), sample(u, 256), DetectorConfig(eps=1e-4))
-    assert result.converged()
-    assert abs(result.alpha - 0.35) <= 1e-3
+    for bend, route in ((0.0, 0), (1e-6, 1)):
+        loops.clear()
+        result = detect_sampled(sample(v, 256), _bent(sample(u, 256), bend),
+                                DetectorConfig(eps=1e-4))
+        assert len(loops) == route
+        assert result.converged()
+        assert abs(result.alpha - 0.35) <= 1e-3
 
 
-def test_detect_sampled_aligned_fires_kick():
+def test_detect_sampled_aligned_fires_kick(monkeypatch):
+    # Both routes: a bent sample against itself reads an exactly zero
+    # bivector in the loop, as a linear one does in ``detect``.
+    loops = _count_loop_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
-    s = sample(v, 64)
-    result = detect_sampled(s, s, DetectorConfig(eps=1e-4))
+    for bend, route in ((0.0, 0), (1e-6, 1)):
+        loops.clear()
+        s = _bent(sample(v, 64), bend)
+        result = detect_sampled(s, s, DetectorConfig(eps=1e-4))
+        assert len(loops) == route
+        assert result.converged()
+        assert result.trace[0].branch == "perturb"
+        assert [t.branch for t in result.trace].count("perturb") == 1
+        assert angle_distance_mod_pi(result.alpha, 0.0) <= 1e-3
+
+
+def test_detect_sampled_refuses_a_pattern_whose_copy_overflows():
+    # The turned copy of a saddle on the square peaks up to sqrt(2) above
+    # its samples: at c = 1.55e308 (peak 1.45e308) the projected copy
+    # overflows, and with a 1e-6 bend so does the loop's at 1.7e308.
+    def big_saddle(c, bend=0.0):
+        return sample(lambda x1, x2: (c * x1 + bend * c * x1 * x2, -c * x2), 16,
+                      SymmetricDomain.square(1.0))
+
+    v = sample(LinearField(1.0, 1.0, 1.0, -1.0), 16)
+    cfg = DetectorConfig(max_iter=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (big_saddle(1.55e308), big_saddle(1.7e308, 1e-6)):
+            with pytest.raises(ValueError, match="pattern samples .* too large"):
+                detect_sampled(v, u, cfg)
+        # Just inside the limit: the copy peaks at 1.59e308 and is returned.
+        result = detect_sampled(v, big_saddle(1.2e308), cfg)
     assert result.converged()
-    assert [t.branch for t in result.trace].count("perturb") == 1
-    assert angle_distance_mod_pi(result.alpha, 0.0) <= 1e-3
+    assert [t.branch for t in result.trace] == [None, "halve", None]
+    assert np.isfinite(result.corrected.values).all()
+    assert np.abs(result.corrected.values).max() > np.abs(big_saddle(1.2e308).values).max()
 
 
 def test_detect_sampled_validation():
