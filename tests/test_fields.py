@@ -185,13 +185,17 @@ def test_outer_and_inner_rotations():
 def test_sample_zero_and_linear():
     zero = LinearField(0.0, 0.0, 0.0, 0.0)
     assert not np.any(sample(zero, 16).values)
-    s = sample(saddle(), 4)
-    centers = s.centers()
-    for iy in range(4):
-        for ix in range(4):
-            v = eval_field(saddle(), (centers[ix], centers[iy]))
-            assert s.values[iy, ix, 0] == v.x
-            assert s.values[iy, ix, 1] == v.y
+    # Cell by cell as eval_field gives it, bit for bit, zero outside the disk.
+    for f, n in ((saddle(), 4), (LinearField(0.3, -1.7, 2.9, 0.05, UNIT_DISK), 7),
+                 (LinearField(-1e-3, 4.1, 0.6, -2.2, SymmetricDomain.square(2.5)), 9)):
+        s = sample(f, n)
+        centers = s.centers()
+        for iy in range(n):
+            for ix in range(n):
+                v = eval_field(f, (centers[ix], centers[iy]))
+                assert s.mask[iy, ix] == f.domain.contains(centers[ix], centers[iy])
+                assert s.values[iy, ix, 0] == v.x
+                assert s.values[iy, ix, 1] == v.y
 
 
 def test_sample_double_winding_cell_value():
