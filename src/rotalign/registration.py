@@ -454,10 +454,12 @@ def detect_sampled(v: SampledField, u: SampledField,
         values = _grid_values(result.corrected, u.centers(), u.mask)
     # A turned copy can peak above its pattern (by up to sqrt(2) for a
     # saddle on the square), so it may overflow where the samples did not.
-    if math.frexp(max(values.max(), -values.min()))[1] + u_exp > _MAX_EXP:
+    try:
+        with np.errstate(over="raise"):
+            np.ldexp(values, u_exp, out=values)
+    except FloatingPointError:
         raise ValueError(f"pattern samples (peak {u_peak!r}) are too large: their "
-                         f"corrected copy overflows")
-    np.ldexp(values, u_exp, out=values)
+                         f"corrected copy overflows") from None
     return replace(result, corrected=SampledField(u.n, u.domain, values, u.mask))
 
 
