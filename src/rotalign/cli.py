@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -32,12 +33,7 @@ from .fields import (
     total_rotate,
     write_samples_csv,
 )
-from .registration import (
-    DegenerateZeroFieldError,
-    DetectionStatus,
-    DetectorConfig,
-    detect,
-)
+from .registration import DetectionStatus, DetectorConfig, detect
 
 __all__ = ["main"]
 
@@ -176,23 +172,18 @@ def _cmd_experiment(args) -> int:
                      coeff_bound=args.coeff_bound, max_iter=args.max_iter,
                      coefficient_space=args.coeff_space)
     report = run_campaign(spec)
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if args.out and args.out.endswith(".csv") else "json"
+    fmt = args.format or ("csv" if args.out and args.out.endswith(".csv") else "json")
     if fmt == "csv":
-        rows = [report_csv_header(), report.csv_row()]
-        if args.out:
-            with open(args.out, "w", newline="") as handle:
-                csv.writer(handle).writerows(rows)
-        else:
-            csv.writer(sys.stdout).writerows(rows)
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([report_csv_header(), report.csv_row()])
+        text = buffer.getvalue()
     else:
         text = report.to_json()
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+    if args.out:
+        with open(args.out, "w", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -200,17 +191,14 @@ def _cmd_sample(args) -> int:
     if args.preset:
         if args.preset != "counterexample":
             raise ValueError(f"unknown preset {args.preset!r}")
-        sampled = sample(double_winding(0.0), args.n, UNIT_DISK)
-        write_samples_csv(sampled, args.out)
-        if args.rotated_out:
-            rotated = sample(double_winding(args.alpha or 0.0), args.n, UNIT_DISK)
-            write_samples_csv(rotated, args.rotated_out)
-        return 0
-    field = _field_from_args(args)
-    write_samples_csv(sample(field, args.n), args.out)
+        field, domain = double_winding(0.0), UNIT_DISK
+        rotate = lambda _, alpha: double_winding(alpha)
+    else:
+        field, domain, rotate = _field_from_args(args), None, total_rotate
+    write_samples_csv(sample(field, args.n, domain), args.out)
     if args.rotated_out:
-        rotated = total_rotate(field, args.alpha or 0.0)
-        write_samples_csv(sample(rotated, args.n), args.rotated_out)
+        write_samples_csv(sample(rotate(field, args.alpha or 0.0), args.n, domain),
+                          args.rotated_out)
     return 0
 
 
@@ -288,7 +276,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, DegenerateZeroFieldError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"rotalign: error: {exc}", file=sys.stderr)
         return 1
 

@@ -91,9 +91,7 @@ class SymmetricDomain:
         return self.size
 
     def contains(self, x1: float, x2: float) -> bool:
-        if self.kind == "square":
-            return abs(x1) <= self.size and abs(x2) <= self.size
-        return x1 * x1 + x2 * x2 <= self.size * self.size
+        return bool(self.contains_grid(x1, x2))
 
     def contains_grid(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         if self.kind == "square":
@@ -268,29 +266,29 @@ def total_rotate(field: LinearField, alpha: float) -> LinearField:
 
 def _conjugate(c, s, a11, a12, a21, a22) -> tuple:
     """The entries of R A R^T with R = [[c, -s], [s, c]], for floats or arrays alike."""
-    r11 = c * a11 - s * a21
-    r12 = c * a12 - s * a22
-    r21 = s * a11 + c * a21
-    r22 = s * a12 + c * a22
-    return r11 * c - r12 * s, r11 * s + r12 * c, r21 * c - r22 * s, r21 * s + r22 * c
+    return _times_transpose(c, s, *_rotated(c, s, a11, a12, a21, a22))
+
+
+def _rotated(c, s, a11, a12, a21, a22) -> tuple:
+    """The entries of R A."""
+    return c * a11 - s * a21, c * a12 - s * a22, s * a11 + c * a21, s * a12 + c * a22
+
+
+def _times_transpose(c, s, a11, a12, a21, a22) -> tuple:
+    """The entries of A R^T."""
+    return a11 * c - a12 * s, a11 * s + a12 * c, a21 * c - a22 * s, a21 * s + a22 * c
 
 
 def outer_rotate(field: LinearField, alpha: float) -> LinearField:
     """Rotate vectors only: u(x) = R(alpha) v(x), i.e. A' = R(alpha) A."""
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    a11, a12, a21, a22 = field.coefficients()
-    return LinearField(c * a11 - s * a21, c * a12 - s * a22,
-                       s * a11 + c * a21, s * a12 + c * a22, field.domain)
+    return LinearField(*_rotated(math.cos(alpha), math.sin(alpha), *field.coefficients()),
+                       field.domain)
 
 
 def inner_rotate(field: LinearField, alpha: float) -> LinearField:
     """Rotate positions only: u(x) = v(R(-alpha) x), i.e. A' = A R(alpha)^T."""
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    a11, a12, a21, a22 = field.coefficients()
-    return LinearField(a11 * c - a12 * s, a11 * s + a12 * c,
-                       a21 * c - a22 * s, a21 * s + a22 * c, field.domain)
+    return LinearField(*_times_transpose(math.cos(alpha), math.sin(alpha),
+                                         *field.coefficients()), field.domain)
 
 
 @dataclass(frozen=True)
@@ -318,9 +316,7 @@ class SampledField:
         return h * h
 
     def centers(self) -> np.ndarray:
-        length = self.domain.bounding_half_side
-        h = 2.0 * length / self.n
-        return -length + (np.arange(self.n) + 0.5) * h
+        return _centers(self.domain, self.n)
 
     def compatible_with(self, other: "SampledField") -> bool:
         return (self.n == other.n and self.domain == other.domain
@@ -346,9 +342,7 @@ def sample(field: FieldLike, n: int, domain: SymmetricDomain | None = None) -> S
     elif domain is None:
         raise ValueError("sampling a closure needs an explicit domain")
 
-    length = domain.bounding_half_side
-    h = 2.0 * length / n
-    centers = -length + (np.arange(n) + 0.5) * h
+    centers = _centers(domain, n)
     mask = domain.contains_grid(centers[None, :], centers[:, None])
     if isinstance(field, LinearField):
         return SampledField(n, domain, _grid_values(field, centers, mask), mask)
@@ -367,6 +361,12 @@ def sample(field: FieldLike, n: int, domain: SymmetricDomain | None = None) -> S
                 values[iy, ix, 1] = v2
     values[~mask] = 0.0
     return SampledField(n, domain, values, mask)
+
+
+def _centers(domain: SymmetricDomain, n: int) -> np.ndarray:
+    """The n cell centers along either axis of the domain's bounding square."""
+    length = domain.bounding_half_side
+    return -length + (np.arange(n) + 0.5) * (2.0 * length / n)
 
 
 def _grid_values(field: LinearField, centers: np.ndarray, mask: np.ndarray) -> np.ndarray:

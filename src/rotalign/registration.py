@@ -67,6 +67,7 @@ from .fields import (
     DomainMismatchError,
     LinearField,
     SampledField,
+    _conjugate,
     _coordinates,
     _entries,
     _grid_values,
@@ -318,18 +319,17 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     au, bu, applied, iteration, capped = _iterate(
         moment, av, bv, au, bu, cu * cv, d_u * d_v, cu * d_v - d_u * cv,
         cfg.eps, cfg.max_iter, trace=trace)
-    status = (DetectionStatus.MAX_ITER_EXCEEDED if capped
-              else DetectionStatus.CONVERGED)
-
     corrected = LinearField(*_entries(math.ldexp(au, u_exp), math.ldexp(bu, u_exp), u_c, u_d),
                             v.domain)
-    return DetectionResult(
-        alpha=wrap_angle(-applied),
-        iterations=iteration,
-        trace=tuple(trace) if record_trace else (),
-        status=status,
-        corrected=corrected,
-    )
+    return _result(applied, iteration, trace or (), capped, corrected)
+
+
+def _result(applied: float, iteration: int, trace, capped: bool,
+            corrected) -> DetectionResult:
+    """The result of a loop that applied ``applied`` in ``iteration`` readings."""
+    status = DetectionStatus.MAX_ITER_EXCEEDED if capped else DetectionStatus.CONVERGED
+    return DetectionResult(alpha=wrap_angle(-applied), iterations=iteration,
+                           trace=tuple(trace), status=status, corrected=corrected)
 
 
 _BLOCK_ROWS = 32  # rows resampled per pass, so the temporaries stay in cache
@@ -473,43 +473,23 @@ def _detect_by_resampling(v: SampledField, u: SampledField,
     """
     current = u
     rotate = _resampler(u)
-
     phi = math.pi
-    alpha_acc = 0.0
-    applied = 0.0
+    alpha_acc = applied = 0.0
     iteration = 0
-    kicked = False
+    kicked = capped = False
     trace = []
-    status = None
-
     while abs(phi) > cfg.eps:
         if iteration == cfg.max_iter:
-            status = DetectionStatus.MAX_ITER_EXCEEDED
+            capped = True
             break
         iteration += 1
-
-        cor = correlate_sampled(current, v)
-        phi = math.atan2(cor.value.b, cor.value.s)
+        phi = correlate_sampled(current, v).argument
         alpha_acc += phi
-
-        branch = None
-        if iteration <= 2:
-            phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
-
+        phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
         applied += phi
         current = rotate(applied)
         trace.append(TraceEntry(iteration, phi, alpha_acc, branch))
-
-    if status is None:
-        status = DetectionStatus.CONVERGED
-
-    return DetectionResult(
-        alpha=wrap_angle(-applied),
-        iterations=iteration,
-        trace=tuple(trace),
-        status=status,
-        corrected=current,
-    )
+    return _result(applied, iteration, trace, capped, current)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -539,17 +519,7 @@ def oracle_detect(v: LinearField, u: LinearField) -> float:
 
     step = math.pi / _ORACLE_GRID
     thetas = -0.5 * math.pi + step * np.arange(1, _ORACLE_GRID + 1)
-    c = np.cos(thetas)
-    s = np.sin(thetas)
-    # A' = R(-theta) A R(-theta)^T
-    r11 = c * a11 + s * a21
-    r12 = c * a12 + s * a22
-    r21 = -s * a11 + c * a21
-    r22 = -s * a12 + c * a22
-    b11 = r11 * c + r12 * s
-    b12 = -r11 * s + r12 * c
-    b21 = r21 * c + r22 * s
-    b22 = -r21 * s + r22 * c
+    b11, b12, b21, b22 = _conjugate(np.cos(thetas), -np.sin(thetas), a11, a12, a21, a22)
     dist_sq = ((b11 - v_mat[0, 0]) ** 2 + (b12 - v_mat[0, 1]) ** 2
                + (b21 - v_mat[1, 0]) ** 2 + (b22 - v_mat[1, 1]) ** 2)
     best = int(np.argmin(dist_sq))
