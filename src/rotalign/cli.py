@@ -146,7 +146,7 @@ def _cmd_correlate(args) -> int:
     field = _field_from_args(args)
     pattern = _counterpart_from_args(args, field, rotation=args.rotation)
     with np.errstate(over="ignore", invalid="ignore"):
-        if args.n:
+        if args.n is not None:
             cor = correlate_sampled(sample(pattern, args.n), sample(field, args.n))
         else:
             cor = correlate_linear(pattern, field)

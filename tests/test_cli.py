@@ -150,6 +150,16 @@ def test_correlate_sampled_backend(capsys):
     assert abs(payload["argument"] - exact["argument"]) <= 1e-3
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_correlate_too_coarse_grid_exits_one(capsys, n):
+    # --n 0 selects the sampled backend too; it must not fall back to the closed form.
+    code, out, err = run_cli(capsys, "correlate", "--field", "0.4,-0.2,0.9,0.3",
+                             "--alpha", "0.5", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert "at least 2" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n", [None, "16"])
 def test_correlate_non_finite_value_exits_one(capsys, n):
     # The value overflows; its argument would read -pi/4 instead of -0.6.
