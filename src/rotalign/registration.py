@@ -473,22 +473,29 @@ def _detect_by_resampling(v: SampledField, u: SampledField,
     """
     current = u
     rotate = _resampler(u)
+
     phi = math.pi
-    alpha_acc = applied = 0.0
+    alpha_acc = 0.0
+    applied = 0.0
     iteration = 0
-    kicked = capped = False
+    kicked = False
+    capped = False
     trace = []
+
     while abs(phi) > cfg.eps:
         if iteration == cfg.max_iter:
             capped = True
             break
         iteration += 1
+
         phi = correlate_sampled(current, v).argument
         alpha_acc += phi
         phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
+
         applied += phi
         current = rotate(applied)
         trace.append(TraceEntry(iteration, phi, alpha_acc, branch))
+
     return _result(applied, iteration, trace, capped, current)
 
 
@@ -519,6 +526,7 @@ def oracle_detect(v: LinearField, u: LinearField) -> float:
 
     step = math.pi / _ORACLE_GRID
     thetas = -0.5 * math.pi + step * np.arange(1, _ORACLE_GRID + 1)
+    # A' = R(-theta) A R(-theta)^T
     b11, b12, b21, b22 = _conjugate(np.cos(thetas), -np.sin(thetas), a11, a12, a21, a22)
     dist_sq = ((b11 - v_mat[0, 0]) ** 2 + (b12 - v_mat[0, 1]) ** 2
                + (b21 - v_mat[1, 0]) ** 2 + (b22 - v_mat[1, 1]) ** 2)
