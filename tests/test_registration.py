@@ -699,6 +699,110 @@ def test_detect_sampled_loops_over_nonlinear_samples(kind, monkeypatch):
     assert got.corrected.values.tobytes() == want.corrected.values.tobytes()
 
 
+def _projection_sweep():
+    """(v, u, cfg) linear sample pairs: four domains, four n, scales 2**+-40, three eps.
+
+    The pair kinds cycle through a rotated copy, an aligned copy
+    (perturb), a pure saddle (halve), an aligned pure saddle (perturb,
+    lock), a pure invariant field (perturb) and a copy capped at three
+    readings.
+    """
+    rng = np.random.default_rng(1414)
+    domains = (SymmetricDomain.square(0.75), SymmetricDomain.square(1.0),
+               SymmetricDomain.square(2.5), UNIT_DISK)
+    kind = 0
+    for domain in domains:
+        for n in (8, 17, 64, 200):
+            for scale in (2.0 ** 40, 2.0 ** -40):
+                for eps in (1e-3, 1e-6, 1e-8):
+                    a, b, c, d = rng.uniform(-1.0, 1.0, 4)
+                    offset = float(rng.uniform(-math.pi, math.pi))
+                    if kind in (2, 3):
+                        c = d = 0.0
+                    if kind == 4:
+                        a = b = 0.0
+                    if kind in (1, 3):
+                        offset = 0.0
+                    v = recompose(Decomposition(scale * a, scale * b, scale * c, scale * d),
+                                  domain)
+                    cfg = DetectorConfig(eps=eps, max_iter=3 if kind == 5 else 10000)
+                    yield sample(v, n), sample(total_rotate(v, offset), n), cfg
+                    kind = (kind + 1) % 6
+
+
+C, X = "converged", "max_iter_exceeded"
+P, H, L = "perturb", "halve", "lock"
+# (alpha, iterations, status, branches at readings 1 and 2) of each pair of
+# _projection_sweep, as the full-array projection answered them.
+PROJECTION_PINS = [
+    (1.1770956661429903, 7, C, (None, None)), (1.581888697722286e-07, 14, C, (P, None)),
+    (-0.7810519893718731, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (-1.0819325814992684, 3, X, (None, None)),
+    (0.36933594678402726, 7, C, (None, None)), (-7.841459655275755e-07, 26, C, (P, None)),
+    (1.3252159693196868, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974485, 2, C, (P, None)), (0.11155390177513305, 3, X, (None, None)),
+    (0.11892398326011157, 4, C, (None, None)), (-3.0973511058437466e-06, 48, C, (P, None)),
+    (1.5275693490077904, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974482, 2, C, (P, None)), (1.400861302042898, 3, X, (None, None)),
+    (-1.2741663623070973, 12, C, (None, None)), (-3.1406870022645474e-07, 43, C, (P, None)),
+    (-1.4051647040677664, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (-1.888263541073585, 3, X, (None, None)),
+    (0.7291021133245518, 15, C, (None, None)), (-8.541451936697585e-07, 26, C, (P, None)),
+    (-1.115315139740467, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (0.6328943179378282, 3, X, (None, None)),
+    (1.5613371487208367, 4, C, (None, None)), (-7.831232218349868e-07, 21, C, (P, None)),
+    (-1.0741278176108482, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974482, 2, C, (P, None)), (2.367585767562922, 3, X, (None, None)),
+    (0.6666353771653557, 26, C, (None, None)), (1.3501195276155475e-07, 14, C, (P, None)),
+    (0.56544005158921, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (0.4563439842984454, 3, X, (None, None)),
+    (1.1266785509693367, 38, C, (None, None)), (-5.787026685274016e-07, 19, C, (P, None)),
+    (-1.3205205984490522, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (3.080511584524961, 3, X, (None, None)),
+    (1.12082079113357, 12, C, (None, None)), (-8.166220323935891e-07, 21, C, (P, None)),
+    (0.9118994381882323, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (-0.3989347672251623, 3, X, (None, None)),
+    (-0.5884873880337339, 4, C, (None, None)), (4.737598331146511e-08, 10, C, (P, None)),
+    (1.4218641184540652, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (-0.7274431321425159, 3, X, (None, None)),
+    (0.39220223875610705, 11, C, (None, None)), (-1.2704319878038004e-09, 6, C, (P, None)),
+    (1.061070973211077, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (-0.21934548000371215, 3, X, (None, None)),
+    (-0.17554526725109929, 1061, C, (None, None)), (-1.4010024529373952e-08, 8, C, (P, None)),
+    (1.3107007380864266, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (-0.8801531319844775, 3, X, (None, None)),
+    (-1.3458255230262406, 62, C, (None, None)), (-5.578666073345926e-07, 22, C, (P, None)),
+    (-0.2577993529458685, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974482, 2, C, (P, None)), (2.0627973716704364, 3, X, (None, None)),
+    (-1.5340753192453045, 12, C, (None, None)), (-3.8466157555147494e-08, 7, C, (P, None)),
+    (-1.518915084028945, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (0.9874903982427428, 3, X, (None, None)),
+    (0.30276923158083713, 13, C, (None, None)), (-1.2344025779069703e-08, 9, C, (P, None)),
+    (-1.5285373641669306, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974482, 2, C, (P, None)), (1.3154183923927274, 3, X, (None, None)),
+    (0.26433414134417993, 10, C, (None, None)), (-2.9111137145040915e-08, 10, C, (P, None)),
+    (0.32502943815359825, 3, C, (None, H)), (-1.5707963267948966, 10000, X, (P, L)),
+    (-0.7853981633974483, 2, C, (P, None)), (0.32503988573734804, 3, X, (None, None)),
+]
+
+
+def test_detect_sampled_projection_route_is_pinned(monkeypatch):
+    # Iterations, status and branches exactly; alpha to 1e-14 mod pi, since
+    # moments summed in another order may move the fit by a few ulps.
+    loops = _count_loop_calls(monkeypatch)
+    got = []
+    for sv, su, cfg in _projection_sweep():
+        r = detect_sampled(sv, su, cfg)
+        assert [t.branch for t in r.trace[2:]] == [None] * (r.iterations - 2)
+        got.append((r.alpha, r.iterations, r.status.value,
+                    tuple(t.branch for t in r.trace[:2])))
+    assert loops == []
+    assert len(got) == len(PROJECTION_PINS)
+    for (alpha, *rest), (want_alpha, *want_rest) in zip(got, PROJECTION_PINS):
+        assert rest == want_rest
+        assert angle_distance_mod_pi(alpha, want_alpha) <= 1e-14
+
+
 def test_wrap_angle_used_for_result():
     v = recompose(Decomposition(1.0, 0.0, 1.0, 0.0))
     theta = 2.9  # wraps modulo pi to a small negative angle
