@@ -298,7 +298,8 @@ class SampledField:
     values[iy, ix] holds (v1, v2) at (centers[ix], centers[iy]); the
     row-major flattening therefore walks x1 fastest.  Cells whose center
     falls outside the domain are masked out and hold the zero vector.
-    Every value must be finite.
+    values must be an (n, n, 2) array of finite values and mask an
+    (n, n) bool array.
     """
 
     n: int
@@ -307,7 +308,16 @@ class SampledField:
     mask: np.ndarray    # shape (n, n), bool
 
     def __post_init__(self):
-        if not np.isfinite(self.values).all():
+        n = self.n
+        values, mask = self.values, self.mask
+        if not (isinstance(values, np.ndarray) and values.shape == (n, n, 2)):
+            raise ValueError(f"sampled field values must be an ({n}, {n}, 2) array, "
+                             f"got shape {np.shape(values)!r}")
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (n, n)):
+            raise ValueError(f"sampled field mask must be an ({n}, {n}) bool array, "
+                             f"got {getattr(mask, 'dtype', type(mask).__name__)} "
+                             f"of shape {np.shape(mask)!r}")
+        if not np.isfinite(values).all():
             raise ValueError("sampled field values must be finite")
 
     @property
@@ -345,7 +355,7 @@ def sample(field: FieldLike, n: int, domain: SymmetricDomain | None = None) -> S
     centers = _centers(domain, n)
     mask = domain.contains_grid(centers[None, :], centers[:, None])
     if isinstance(field, LinearField):
-        return SampledField(n, domain, _grid_values(field, centers, mask), mask)
+        return SampledField(n, domain, _grid_values(field, centers, centers, mask), mask)
 
     x1, x2 = np.meshgrid(centers, centers, indexing="xy")
     values = np.zeros((n, n, 2), dtype=float)
@@ -369,19 +379,26 @@ def _centers(domain: SymmetricDomain, n: int) -> np.ndarray:
     return -length + (np.arange(n) + 0.5) * (2.0 * length / n)
 
 
-def _grid_values(field: LinearField, centers: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The field's values at the cell centers, zero outside the (n, n) mask.
+def _grid_values(field: LinearField, x1: np.ndarray, x2: np.ndarray,
+                 mask: np.ndarray) -> np.ndarray:
+    """The field's values at the cell centers of rows x2, zero outside the mask.
 
-    Rows are built as (n, 2n) planes from outer products, x2 term first,
-    and cells masked as complex pairs, so no pass runs over an axis of 2
-    and no (n, n) coordinate grid is built.
+    x1 holds the n column centers and x2 the centers of the rows wanted,
+    so a block of rows costs a block-sized array; mask holds those rows.
+    Each cell is one complex addition of its row's x2 terms and its
+    column's x1 terms, x2 term first, and cells are masked as complex
+    pairs, so no pass runs over an axis of 2 and no coordinate grid is
+    built.
     """
-    n = len(centers)
-    values = np.multiply.outer(centers, np.tile((field.a12, field.a22), n))  # x2 terms, row y
-    values += np.multiply.outer(centers, (field.a11, field.a21)).ravel()    # x1 terms, cell x
-    values = values.reshape(n, n, 2)
-    np.copyto(values.view(complex)[:, :, 0], 0.0, where=~mask)
-    return values
+    rows = np.empty(len(x2), complex)
+    rows.real = x2 * field.a12
+    rows.imag = x2 * field.a22
+    columns = np.empty(len(x1), complex)
+    columns.real = x1 * field.a11
+    columns.imag = x1 * field.a21
+    values = np.add.outer(rows, columns)
+    np.copyto(values, 0.0, where=~mask)
+    return values.view(float).reshape(len(x2), len(x1), 2)
 
 
 def double_winding(alpha: float = 0.0) -> Callable:

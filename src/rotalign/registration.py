@@ -388,8 +388,8 @@ def _resampler(original: SampledField) -> Callable[[float], SampledField]:
     return rotate
 
 
-def _linear_fit(s: SampledField) -> Optional[LinearField]:
-    """The linear field whose masked samples match s to ``_LINEAR_TOL``, or None.
+def _linear_fit(s: SampledField, exp: int) -> Optional[LinearField]:
+    """The linear field whose masked samples match s * 2**-exp to ``_LINEAR_TOL``, or None.
 
     The cell centers and the domain's mask are symmetric in both axes
     and under a quarter turn, so on the masked grid sum x1*x2 = 0 and
@@ -398,21 +398,46 @@ def _linear_fit(s: SampledField) -> Optional[LinearField]:
     grid when the cells outside the domain hold zero, as ``sample``
     leaves them.  The relative residual is taken over every cell too, so
     a sample with anything else outside the domain is not linear.
+
+    Both passes walk s in blocks of ``_BLOCK_ROWS`` rows, each scaled by
+    2**-exp into one cache-sized buffer, so no values-sized array is
+    made.  The first sums the columns (in row order, as a whole-array
+    sum would), the x2-weighted rows and the energy; the second sums the
+    squared misfit and stops once it exceeds the bound.
     """
+    n = s.n
     x = s.centers()
     weight = float(np.count_nonzero(s.mask, axis=0) @ (x * x))
     if weight == 0.0:
         return None
-    # (a11, a21): sum down the columns, then weight by x1.  (a12, a22):
-    # weight the rows by x2, then sum over the cells.
-    along_x1 = x @ s.values.sum(axis=0) / weight
-    along_x2 = (x @ s.values.reshape(s.n, -1)).reshape(-1, 2).sum(axis=0) / weight
+    rows = s.values.reshape(n, 2 * n)
+    buffer = np.empty((min(n, _BLOCK_ROWS), 2 * n))
+    columns = np.zeros(2 * n)
+    along_rows = np.zeros(2 * n)
+    energy = 0.0
+    for r in range(0, n, _BLOCK_ROWS):
+        x2 = x[r:r + _BLOCK_ROWS]
+        block = np.ldexp(rows[r:r + _BLOCK_ROWS], -exp, out=buffer[:len(x2)])
+        along_rows += x2 @ block
+        energy += np.vdot(block, block)
+        if r:
+            block[0] += columns
+        block.sum(axis=0, out=columns)
+    # (a11, a21): weight the column sums by x1.  (a12, a22): sum the
+    # x2-weighted rows over the cells.
+    along_x1 = x @ columns.reshape(n, 2) / weight
+    along_x2 = along_rows.reshape(n, 2).sum(axis=0) / weight
     fit = LinearField(float(along_x1[0]), float(along_x2[0]),
                       float(along_x1[1]), float(along_x2[1]), s.domain)
-    misfit = _grid_values(fit, x, s.mask)
-    misfit -= s.values
-    if np.vdot(misfit, misfit) > _LINEAR_TOL * _LINEAR_TOL * np.vdot(s.values, s.values):
-        return None
+    bound = _LINEAR_TOL * _LINEAR_TOL * energy
+    misfit = 0.0
+    for r in range(0, n, _BLOCK_ROWS):
+        x2 = x[r:r + _BLOCK_ROWS]
+        block = np.ldexp(rows[r:r + _BLOCK_ROWS], -exp, out=buffer[:len(x2)])
+        block -= _grid_values(fit, x, x2, s.mask[r:r + _BLOCK_ROWS]).reshape(block.shape)
+        misfit += np.vdot(block, block)
+        if misfit > bound:
+            return None
     return fit
 
 
@@ -420,38 +445,41 @@ def detect_sampled(v: SampledField, u: SampledField,
                    cfg: DetectorConfig = DetectorConfig()) -> DetectionResult:
     """Grid-backed detection: ``detect`` on linear samples, the resample loop on others.
 
-    Each field is first scaled by a power of two, so the answer is the
-    same at any scale.  When both scaled samples are linear to
-    ``_LINEAR_TOL`` = 1e-12 (relative residual over all cells; see
-    ``_linear_fit``), the answer is ``detect`` on the two projected
-    linear fields, and ``corrected`` holds the masked samples of its
-    corrected field.  Otherwise ``_detect_by_resampling`` runs the loop
-    on the samples, and ``corrected`` is its last resampled copy.  Either
-    way ``corrected`` is scaled back to the pattern's scale; a turned
-    copy can peak above the samples, and a pattern whose copy would then
-    overflow is refused with ``ValueError``.
+    Each field is scaled by a power of two, so the answer is the same at
+    any scale.  When both scaled samples are linear to ``_LINEAR_TOL`` =
+    1e-12 (relative residual over all cells; see ``_linear_fit``, which
+    scales them block by block), the answer is ``detect`` on the two
+    projected linear fields, and ``corrected`` holds the masked samples
+    of its corrected field; no scaled copy of either sample is made.
+    Otherwise both scaled copies are made and ``_detect_by_resampling``
+    runs the loop on them, and ``corrected`` is its last resampled copy.
+    Either way ``corrected`` is scaled back to the pattern's scale; a
+    turned copy can peak above the samples, and a pattern whose copy
+    would then overflow is refused with ``ValueError``.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
-    v_peak = float(np.abs(v.values).max())
-    u_peak = float(np.abs(u.values).max())
+    # max |value| without an abs temporary.
+    v_peak = max(float(v.values.max()), -float(v.values.min()))
+    u_peak = max(float(u.values.max()), -float(u.values.min()))
     if v_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align against the zero field")
     if u_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align a zero pattern")
     _, v_exp = math.frexp(v_peak)
     _, u_exp = math.frexp(u_peak)
-    v = SampledField(v.n, v.domain, np.ldexp(v.values, -v_exp), v.mask)
-    u = SampledField(u.n, u.domain, np.ldexp(u.values, -u_exp), u.mask)
 
-    v_fit = _linear_fit(v)
-    u_fit = _linear_fit(u) if v_fit is not None else None
+    v_fit = _linear_fit(v, v_exp)
+    u_fit = _linear_fit(u, u_exp) if v_fit is not None else None
     if u_fit is None:
-        result = _detect_by_resampling(v, u, cfg)
+        result = _detect_by_resampling(
+            SampledField(v.n, v.domain, np.ldexp(v.values, -v_exp), v.mask),
+            SampledField(u.n, u.domain, np.ldexp(u.values, -u_exp), u.mask), cfg)
         values = result.corrected.values
     else:
         result = detect(v_fit, u_fit, cfg)
-        values = _grid_values(result.corrected, u.centers(), u.mask)
+        x = u.centers()
+        values = _grid_values(result.corrected, x, x, u.mask)
     # A turned copy can peak above its pattern (by up to sqrt(2) for a
     # saddle on the square), so it may overflow where the samples did not.
     try:

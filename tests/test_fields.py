@@ -10,6 +10,7 @@ from rotalign import (
     DomainMismatchError,
     LinearField,
     Multivector2,
+    SampledField,
     SymmetricDomain,
     UNIT_DISK,
     UNIT_SQUARE,
@@ -309,3 +310,20 @@ def test_sample_refuses_non_finite_values_inside_the_domain():
     assert np.isfinite(sample(nan_off_disk, 16, UNIT_DISK).values).all()
     with pytest.raises(ValueError, match="finite"):
         sample(nan_off_disk, 16, UNIT_SQUARE)
+
+
+_EIGHT = sample(LinearField(0.7, -0.2, 0.5, 0.4), 8)
+
+
+@pytest.mark.parametrize("n, values, mask, what", [
+    (8, _EIGHT.values[:, :, :1].copy(), _EIGHT.mask, "values"),
+    (8, _EIGHT.values, _EIGHT.mask.astype(float), "mask"),
+    (9, _EIGHT.values, _EIGHT.mask, "values"),
+    (8, _EIGHT.values, _EIGHT.mask[:, :4], "mask"),
+], ids=["values-8x8x1", "float-mask", "n-9-on-8x8", "mask-8x4"])
+def test_sampled_field_refuses_malformed_arrays(n, values, mask, what):
+    # Accepted, these failed later inside numpy (an IndexError, a TypeError
+    # from inverting the mask, a matmul error), and a wrong n would make a
+    # fit by rows of n misread the samples.
+    with pytest.raises(ValueError, match=f"sampled field {what} must be an"):
+        SampledField(n, UNIT_SQUARE, values, mask)

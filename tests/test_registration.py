@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -631,11 +632,34 @@ def test_linear_fit_recovers_sampled_coefficients(domain, n):
     rng = np.random.default_rng(n)
     for scale in (1.0, 1e-3, 7.5):
         f = LinearField(*(scale * rng.uniform(-1, 1, 4)), domain)
-        fit = _linear_fit(sample(f, n))
+        # The fit is of the samples times 2**-e, here e of the scale.
+        e = math.frexp(scale)[1]
+        fit = _linear_fit(sample(f, n), e)
         assert fit.domain == domain
-        worst = max(abs(a - b) for a, b in zip(fit.coefficients(), f.coefficients()))
+        worst = max(abs(math.ldexp(a, e) - b)
+                    for a, b in zip(fit.coefficients(), f.coefficients()))
         assert worst <= 1e-14 * max(map(abs, f.coefficients()))
 
+
+
+@pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), UNIT_DISK])
+def test_detect_sampled_projection_makes_no_full_size_temporaries(domain, monkeypatch):
+    # The projection scales, fits and tests the samples in row blocks, so
+    # one call's traced peak, the corrected copy it returns included, stays
+    # within 1.5 values-sized arrays.
+    loops = _count_loop_calls(monkeypatch)
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
+    sv, su = sample(v, 256), sample(total_rotate(v, 0.7), 256)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = detect_sampled(sv, su, DetectorConfig(eps=1e-6))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert loops == []
+    assert result.converged()
+    assert peak <= 1.5 * sv.values.nbytes
 
 LINEAR_ROUTE_CASES = [
     # (v, offset, cfg): generic, aligned (perturb), pure saddle (halve),
