@@ -332,7 +332,7 @@ def _result(applied: float, iteration: int, trace, capped: bool,
                            trace=tuple(trace), status=status, corrected=corrected)
 
 
-_BLOCK_ROWS = 32  # rows resampled per pass, so the temporaries stay in cache
+_BLOCK_ROWS = 32  # rows per pass of the resampler and the fit, so the temporaries stay in cache
 
 
 def _resampler(original: SampledField) -> Callable[[float], SampledField]:

@@ -498,6 +498,19 @@ def test_detect_sampled_validation():
         detect_sampled(s, SampledField(s.n, s.domain, values, s.mask))
 
 
+
+def test_detect_sampled_is_sign_symmetric():
+    # Negating both samples leaves every correlation, and so the answer,
+    # unchanged.  These samples are negative inside the disk and zero
+    # outside it, so their largest value is 0 and their peak is -min.
+    s = sample(lambda x1, x2: (x1 - 3.0, 0.5 * x2 - 3.0), 16, UNIT_DISK)
+    cfg = DetectorConfig(eps=1e-4, max_iter=20)
+    got = detect_sampled(s, s, cfg)
+    flipped = detect_sampled(*(SampledField(s.n, s.domain, -s.values, s.mask),) * 2, cfg)
+    assert got.trace == flipped.trace
+    assert got.status is flipped.status
+    assert np.array_equal(got.corrected.values, -flipped.corrected.values)
+
 def _resample_rotated(original: SampledField, theta: float) -> SampledField:
     """Total-rotate a sampled field by theta via bilinear resampling.
 
