@@ -62,6 +62,7 @@ from .registration import (
     DetectionStatus,
     DetectorConfig,
     _iterate,
+    _uncorrelated,
     detect,
 )
 
@@ -448,9 +449,9 @@ def _outcomes(spec: TrialSpec) -> tuple:
     field = _entries(*coeffs) if spec.coefficient_space else tuple(coeffs)
     copy = _conjugate(np.cos(angle), np.sin(angle), *field)
 
-    # detect raises DegenerateZeroFieldError when either field is zero.
-    live = ~(np.logical_and.reduce([c == 0.0 for c in field])
-             | np.logical_and.reduce([c == 0.0 for c in copy]))
+    # detect raises DegenerateZeroFieldError when no turn correlates the
+    # two fields, a zero field included, tested on the same scaled coordinates.
+    live = ~_uncorrelated(_unit_scaled(_coordinates(*field)), _unit_scaled(_coordinates(*copy)))
     field = tuple(x[live] for x in field)
     copy = tuple(x[live] for x in copy)
     applied, iterations, capped = _detect_all(field, copy, spec.eps, spec.max_iter)

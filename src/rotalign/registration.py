@@ -206,6 +206,27 @@ def _unit_scaled(a: float, b: float, c: float, d: float) -> tuple:
     return ldexp(a, -e), ldexp(b, -e), ldexp(c, -e), ldexp(d, -e), e
 
 
+def _uncorrelated(v: tuple, u: tuple):
+    """Whether no turn correlates fields with coordinates v and u: (a, b, c, d) each.
+
+    True when one field's saddle pair (a, b) and the other's invariant
+    pair (c, d) are zero, which includes a zero field: the correlation
+    is then zero at every turn and defines no offset.  Takes floats or
+    arrays of them, elementwise.
+    """
+    v_saddle = (v[0] == 0.0) & (v[1] == 0.0)
+    u_saddle = (u[0] == 0.0) & (u[1] == 0.0)
+    v_invariant = (v[2] == 0.0) & (v[3] == 0.0)
+    u_invariant = (u[2] == 0.0) & (u[3] == 0.0)
+    return (v_saddle | u_saddle) & (v_invariant | u_invariant)
+
+
+def _pair_norms(field: LinearField) -> tuple:
+    """(|(a, b)|, |(c, d)|): the lengths of the field's saddle and invariant pairs."""
+    a, b, c, d = _coordinates(field.a11, field.a12, field.a21, field.a22)
+    return math.hypot(a, b), math.hypot(c, d)
+
+
 def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
              cc: float, dd: float, cross: float, eps: float, max_iter: int,
              applied: float = 0.0, iteration: int = 0, trace: Optional[list] = None) -> tuple:
@@ -304,6 +325,9 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     av, bv, cv, d_v, _ = _unit_scaled(*_coordinates(v.a11, v.a12, v.a21, v.a22))
     _, _, u_c, u_d = coords = _coordinates(u.a11, u.a12, u.a21, u.a22)
     au, bu, cu, d_u, u_exp = _unit_scaled(*coords)
+    if _uncorrelated((av, bv, cv, d_v), (au, bu, cu, d_u)):
+        raise DegenerateZeroFieldError("no turn correlates the two fields: one is a pure saddle "
+                                       "field and the other pure source/vortex")
     # A turn moves the saddle pair anywhere on its circle of radius
     # h = hypot(a, b), so some turn overflows an entry of the corrected
     # pattern (a' + c, ...) or a sum of entries (2 a', ...) when
@@ -477,6 +501,14 @@ def detect_sampled(v: SampledField, u: SampledField,
             SampledField(u.n, u.domain, np.ldexp(u.values, -u_exp), u.mask), cfg)
         values = result.corrected.values
     else:
+        # The projections carry rounding noise, so detect's test for a
+        # pair that no turn correlates is taken relative to their norms.
+        (v_saddle, v_invariant), (u_saddle, u_invariant) = map(_pair_norms, (v_fit, u_fit))
+        if (v_saddle * u_saddle + v_invariant * u_invariant
+                <= _LINEAR_TOL * math.hypot(v_saddle, v_invariant)
+                * math.hypot(u_saddle, u_invariant)):
+            raise DegenerateZeroFieldError("no turn correlates the two samples beyond "
+                                           f"{_LINEAR_TOL!r} of their norms")
         result = detect(v_fit, u_fit, cfg)
         x = u.centers()
         values = _grid_values(result.corrected, x, x, u.mask)

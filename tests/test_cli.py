@@ -200,6 +200,17 @@ def test_correlate_orthogonal_fields_exits_one(tmp_path, capsys):
     assert "undefined" in err and err.count("\n") == 1
 
 
+def test_detect_orthogonal_fields_exits_one(tmp_path, capsys):
+    # A saddle against a source correlates to zero at every turn: no offset.
+    pattern = tmp_path / "source.json"
+    pattern.write_text(json.dumps({"a11": 1.0, "a12": 0.0, "a21": 0.0, "a22": 1.0}))
+    code, out, err = run_cli(capsys, "detect", "--field", "1,0,0,-1",
+                             "--pattern-file", str(pattern))
+    assert code == 1
+    assert out == ""
+    assert "no turn correlates" in err and err.count("\n") == 1
+
+
 def test_experiment_round_trips_and_is_reproducible(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -257,6 +257,44 @@ def test_detect_input_validation():
     assert DetectorConfig(max_iter=np.int64(5)).max_iter == 5
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_detect_refuses_pairs_no_turn_correlates(scale):
+    # A pure saddle against a pure source/vortex correlates to zero at
+    # every turn, so no offset is defined: refused, in either order and
+    # through the projection too.
+    saddles = [saddle(), recompose(Decomposition(0.3, -0.4, 0.0, 0.0))]
+    invariants = [source(), vortex(), recompose(Decomposition(0.0, 0.0, 0.7, 0.2))]
+    for a, b in ((scaled(a, scale), scaled(b, scale)) for a in saddles for b in invariants):
+        for v, u in ((a, b), (b, a), (a, total_rotate(b, 0.3))):
+            with pytest.raises(DegenerateZeroFieldError, match="no turn correlates"):
+                detect(v, u)
+            # Projections carry rounding noise: (0.3, -0.4) on 33 cells
+            # fits with an invariant part near 1e-17.
+            for n in (16, 33):
+                with pytest.raises(DegenerateZeroFieldError, match="no turn correlates"):
+                    detect_sampled(sample(v, n), sample(u, n))
+    # Any invariant part in the saddle field, however small, correlates.
+    v = recompose(Decomposition(1.0, 0.0, 1e-10, 0.0))
+    assert detect(v, total_rotate(source(), 0.3)).converged()
+
+
+def test_quarter_turn_trap_pair_is_a_quarter_turn_offset():
+    # The pair of the trap below: the oracle's answer is a quarter turn.
+    v = recompose(Decomposition(0.5, 0.0, 1.0, 0.0))
+    u = total_rotate(v, math.pi / 2 + 1e-7)
+    assert angle_distance_mod_pi(oracle_detect(v, u), math.pi / 2 + 1e-7) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: with n2 > n1, an offset within about "
+                   "eps (n2 - n1) / (2 n1) of a quarter turn starts detect at the unstable "
+                   "fixed point phi = 0, and it returns converged at alpha near 0")
+def test_detect_escapes_the_quarter_turn_trap():
+    v = recompose(Decomposition(0.5, 0.0, 1.0, 0.0))
+    u = total_rotate(v, math.pi / 2 + 1e-7)
+    result = detect(v, u, DetectorConfig(eps=1e-6))
+    assert angle_distance_mod_pi(result.alpha, oracle_detect(v, u)) <= 1e-4
+
+
 @settings(max_examples=200, deadline=None)
 @given(balanced_fields, offsets, st.integers(-1000, 1000))
 def test_detect_power_of_two_scale_invariance(v, theta, j):
