@@ -95,6 +95,7 @@ _HALF_PI = 0.5 * math.pi
 _ZERO_TOL = 1e-9
 _LINEAR_TOL = 1e-12  # relative residual under which a sample counts as linear
 _MAX_EXP = sys.float_info.max_exp
+_MIN_EXP = sys.float_info.min_exp
 
 
 class DegenerateZeroFieldError(ValueError):
@@ -412,57 +413,138 @@ def _resampler(original: SampledField) -> Callable[[float], SampledField]:
     return rotate
 
 
-def _linear_fit(s: SampledField, exp: int) -> Optional[LinearField]:
-    """The linear field whose masked samples match s * 2**-exp to ``_LINEAR_TOL``, or None.
+def _scaled(values: np.ndarray, exp: int, out: Optional[np.ndarray]) -> np.ndarray:
+    """values * 2**exp into out, bit for bit as ``np.ldexp`` gives it.
 
-    The cell centers and the domain's mask are symmetric in both axes
-    and under a quarter turn, so on the masked grid sum x1*x2 = 0 and
-    sum x1^2 = sum x2^2, and least squares gives a_ij = sum v_i x_j /
-    sum x_j^2.  The moments run over every cell, which is the masked
-    grid when the cells outside the domain hold zero, as ``sample``
-    leaves them.  The relative residual is taken over every cell too, so
-    a sample with anything else outside the domain is not linear.
-
-    Both passes walk s in blocks of ``_BLOCK_ROWS`` rows, each scaled by
-    2**-exp into one cache-sized buffer, so no values-sized array is
-    made.  The first sums the columns (in row order, as a whole-array
-    sum would), the x2-weighted rows and the energy; the second sums the
-    squared misfit and stops once it exceeds the bound.
+    Where 2**exp is a normal double this is one multiply, whose single
+    rounding is the one ``np.ldexp`` makes; beyond that (subnormal peaks,
+    or peaks above 2**1022 scaled down) it is ``np.ldexp``.
     """
-    n = s.n
-    x = s.centers()
-    weight = float(np.count_nonzero(s.mask, axis=0) @ (x * x))
-    if weight == 0.0:
-        return None
-    rows = s.values.reshape(n, 2 * n)
+    if _MIN_EXP - 1 <= exp < _MAX_EXP:
+        return np.multiply(values, 2.0 ** exp, out=out)
+    return np.ldexp(values, exp, out=out)
+
+
+def _peak(values: np.ndarray) -> tuple:
+    """(peak, exp): max |value|, read without an abs temporary, and its frexp exponent."""
+    peak = max(float(values.max()), -float(values.min()))
+    return peak, math.frexp(peak)[1]
+
+
+def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
+    """Prepare ``fit(values)`` for samples on ``grid``'s cells and mask.
+
+    ``fit`` returns (field, peak, exp): peak and exp as ``_peak`` gives
+    them, and the linear field whose masked samples match values *
+    2**-exp to ``_LINEAR_TOL`` (relative residual over all cells), or
+    None.  The cell centers and the domain's mask are symmetric in both
+    axes and under a quarter turn, so on the masked grid sum x1*x2 = 0
+    and sum x1^2 = sum x2^2, and least squares gives a_ij = sum v_i x_j
+    / sum x_j^2.  The moments run over every cell, which is the masked
+    grid when the cells outside the domain hold zero, as ``sample``
+    leaves them.  The residual is taken over every cell too, so a sample
+    with anything else outside the domain is not linear.
+
+    One traversal reads each value once, in blocks of ``_BLOCK_ROWS``
+    rows.  A block raises the running peak and is scaled by 2**-exp of
+    it into one cache-sized buffer; what was summed at a smaller
+    exponent is rescaled by a power of two, which is exact.  The block
+    then adds its column sums and x2-weighted rows (one ``[1; x2] @
+    block`` product), its energy, and its squared misfit against a trial
+    fit: the first block's own least-squares fit, subtracted under the
+    mask.  Each block's trial values are the previous block's plus one
+    constant, so no block pays a broadcast.
+
+    Where sum x1*x2 = 0 and sum x2^2 = W, the x1 weight (a mask whose
+    rows mirror in x2, with equal weights), the fit from the moments is
+    the least-squares fit over the masked cells up to the values outside
+    them.  Its residual is then at most the trial's times 1 + X/W, with X
+    the sum of |x|^2 over the cells outside the mask, and within the
+    bound it is accepted.  Otherwise a second traversal sums the fit's
+    own misfit and stops once it exceeds the bound.
+    """
+    n = grid.n
+    x = grid.centers()
+    squares = x * x
+    mask = grid.mask
+    cells_in = mask.view(np.uint8)
+    columns_in = cells_in.sum(axis=0, dtype=np.uint32)
+    rows_in = cells_in.sum(axis=1, dtype=np.uint32)
+    weight = float(columns_in @ squares)
+    top = slice(0, _BLOCK_ROWS)
+    top_x1 = float(cells_in[top].sum(axis=0, dtype=np.uint32) @ squares)
+    top_x2 = float(rows_in[top] @ squares[top])
+    trial_bound = bool(top_x1 and top_x2 and float(rows_in @ squares) == weight
+                       and np.array_equal(mask, mask[::-1]))
+    if trial_bound:
+        stretch = 1.0 + float((2 * n - columns_in - rows_in) @ squares) / weight
+        # The trial is subtracted where=True in blocks wholly inside the mask.
+        inside = [True if m.all() else m for m in map(mask.__getitem__, _blocks(n))]
+    ones_x2 = np.stack([np.ones(n), x])
     buffer = np.empty((min(n, _BLOCK_ROWS), 2 * n))
-    columns = np.zeros(2 * n)
-    along_rows = np.zeros(2 * n)
-    energy = 0.0
-    for r in range(0, n, _BLOCK_ROWS):
-        x2 = x[r:r + _BLOCK_ROWS]
-        block = np.ldexp(rows[r:r + _BLOCK_ROWS], -exp, out=buffer[:len(x2)])
-        along_rows += x2 @ block
-        energy += np.vdot(block, block)
-        if r:
-            block[0] += columns
-        block.sum(axis=0, out=columns)
-    # (a11, a21): weight the column sums by x1.  (a12, a22): sum the
-    # x2-weighted rows over the cells.
-    along_x1 = x @ columns.reshape(n, 2) / weight
-    along_x2 = along_rows.reshape(n, 2).sum(axis=0) / weight
-    fit = LinearField(float(along_x1[0]), float(along_x2[0]),
-                      float(along_x1[1]), float(along_x2[1]), s.domain)
-    bound = _LINEAR_TOL * _LINEAR_TOL * energy
-    misfit = 0.0
-    for r in range(0, n, _BLOCK_ROWS):
-        x2 = x[r:r + _BLOCK_ROWS]
-        block = np.ldexp(rows[r:r + _BLOCK_ROWS], -exp, out=buffer[:len(x2)])
-        block -= _grid_values(fit, x, x2, s.mask[r:r + _BLOCK_ROWS]).reshape(block.shape)
-        misfit += np.vdot(block, block)
-        if misfit > bound:
-            return None
+
+    def fit(values: np.ndarray) -> tuple:
+        if not weight:
+            return (None, *_peak(values))
+        rows = values.reshape(n, 2 * n)
+        moments = np.zeros((2, 2 * n))
+        energy = misfit = peak = 0.0
+        exp = 0
+        trial = None
+        for k, block_rows in enumerate(_blocks(n)):
+            source = rows[block_rows]
+            block_peak = max(float(source.max()), -float(source.min()))
+            if block_peak > peak:
+                shift = math.frexp(block_peak)[1]
+                if peak and shift != exp:
+                    # Rescale what was summed at 2**-exp.
+                    _scaled(moments, exp - shift, moments)
+                    energy = math.ldexp(energy, 2 * (exp - shift))
+                    misfit = math.ldexp(misfit, 2 * (exp - shift))
+                    if trial is not None:
+                        _scaled(trial.view(float), exp - shift, trial.view(float))
+                        row_term = complex(math.ldexp(row_term.real, exp - shift),
+                                           math.ldexp(row_term.imag, exp - shift))
+                peak, exp = block_peak, shift
+            block = _scaled(source, -exp, buffer[:len(source)])
+            moments += ones_x2[:, block_rows] @ block
+            energy += np.vdot(block, block)
+            if not trial_bound:
+                continue
+            if trial is None:
+                t11, t21 = x @ moments[0].reshape(n, 2) / top_x1
+                t12, t22 = moments[1].reshape(n, 2).sum(axis=0) / top_x2
+                row_term = complex(t12, t22)
+                trial = np.add.outer(x[top] * row_term, x * complex(t11, t21))
+            else:
+                trial += (x[block_rows.start] - x[block_rows.start - _BLOCK_ROWS]) * row_term
+            cells = block.view(complex)
+            np.subtract(cells, trial[:len(source)], out=cells, where=inside[k])
+            misfit += np.vdot(block, block)
+        # (a11, a21): weight the column sums by x1.  (a12, a22): sum the
+        # x2-weighted rows over the cells.
+        along_x1 = x @ moments[0].reshape(n, 2) / weight
+        along_x2 = moments[1].reshape(n, 2).sum(axis=0) / weight
+        linear = LinearField(float(along_x1[0]), float(along_x2[0]),
+                             float(along_x1[1]), float(along_x2[1]), grid.domain)
+        bound = _LINEAR_TOL * _LINEAR_TOL * energy
+        if trial_bound and misfit * stretch <= bound:
+            return linear, peak, exp
+        misfit = 0.0
+        for block_rows in _blocks(n):
+            block = _scaled(rows[block_rows], -exp, buffer[:len(x[block_rows])])
+            block -= _grid_values(linear, x, x[block_rows], mask[block_rows]).reshape(block.shape)
+            misfit += np.vdot(block, block)
+            if misfit > bound:
+                return None, peak, exp
+        return linear, peak, exp
+
     return fit
+
+
+def _blocks(n: int) -> list:
+    """The row slices of ``_BLOCK_ROWS`` rows that cover n rows."""
+    return [slice(r, r + _BLOCK_ROWS) for r in range(0, n, _BLOCK_ROWS)]
 
 
 def detect_sampled(v: SampledField, u: SampledField,
@@ -471,35 +553,35 @@ def detect_sampled(v: SampledField, u: SampledField,
 
     Each field is scaled by a power of two, so the answer is the same at
     any scale.  When both scaled samples are linear to ``_LINEAR_TOL`` =
-    1e-12 (relative residual over all cells; see ``_linear_fit``, which
-    scales them block by block), the answer is ``detect`` on the two
-    projected linear fields, and ``corrected`` holds the masked samples
-    of its corrected field; no scaled copy of either sample is made.
-    Otherwise both scaled copies are made and ``_detect_by_resampling``
-    runs the loop on them, and ``corrected`` is its last resampled copy.
-    Either way ``corrected`` is scaled back to the pattern's scale; a
-    turned copy can peak above the samples, and a pattern whose copy
-    would then overflow is refused with ``ValueError``.
+    1e-12 (relative residual over all cells; see ``_linear_fitter``,
+    which scales them block by block), the answer is ``detect`` on the
+    two projected linear fields, and ``corrected`` holds the masked
+    samples of its corrected field; no scaled copy of either sample is
+    made.  Otherwise both scaled copies are made and
+    ``_detect_by_resampling`` runs the loop on them, and ``corrected``
+    is its last resampled copy.  Either way ``corrected`` is scaled back
+    to the pattern's scale; a turned copy can peak above the samples,
+    and a pattern whose copy would then overflow is refused with
+    ``ValueError``.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
-    # max |value| without an abs temporary.
-    v_peak = max(float(v.values.max()), -float(v.values.min()))
-    u_peak = max(float(u.values.max()), -float(u.values.min()))
+    fit = _linear_fitter(v)
+    v_fit, v_peak, v_exp = fit(v.values)
     if v_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align against the zero field")
+    if v_fit is None:
+        u_fit = None
+        u_peak, u_exp = _peak(u.values)
+    else:
+        u_fit, u_peak, u_exp = fit(u.values)
     if u_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align a zero pattern")
-    _, v_exp = math.frexp(v_peak)
-    _, u_exp = math.frexp(u_peak)
 
-    v_fit = _linear_fit(v, v_exp)
-    u_fit = _linear_fit(u, u_exp) if v_fit is not None else None
     if u_fit is None:
         result = _detect_by_resampling(
-            SampledField(v.n, v.domain, np.ldexp(v.values, -v_exp), v.mask),
-            SampledField(u.n, u.domain, np.ldexp(u.values, -u_exp), u.mask), cfg)
-        values = result.corrected.values
+            SampledField(v.n, v.domain, _scaled(v.values, -v_exp, None), v.mask),
+            SampledField(u.n, u.domain, _scaled(u.values, -u_exp, None), u.mask), cfg)
     else:
         # The projections carry rounding noise, so detect's test for a
         # pair that no turn correlates is taken relative to their norms.
@@ -510,13 +592,19 @@ def detect_sampled(v: SampledField, u: SampledField,
             raise DegenerateZeroFieldError("no turn correlates the two samples beyond "
                                            f"{_LINEAR_TOL!r} of their norms")
         result = detect(v_fit, u_fit, cfg)
-        x = u.centers()
-        values = _grid_values(result.corrected, x, x, u.mask)
     # A turned copy can peak above its pattern (by up to sqrt(2) for a
     # saddle on the square), so it may overflow where the samples did not.
     try:
         with np.errstate(over="raise"):
-            np.ldexp(values, u_exp, out=values)
+            if u_fit is None:
+                values = _scaled(result.corrected.values, u_exp, result.corrected.values)
+            else:
+                # Laid out and scaled back block by block, while each block is in cache.
+                x = u.centers()
+                values = np.empty((u.n, u.n, 2))
+                for rows in _blocks(u.n):
+                    block = _grid_values(result.corrected, x, x[rows], u.mask[rows], values[rows])
+                    _scaled(block, u_exp, block)
     except FloatingPointError:
         raise ValueError(f"pattern samples (peak {u_peak!r}) are too large: their "
                          f"corrected copy overflows") from None

@@ -37,7 +37,7 @@ from rotalign import (
     wrap_angle,
 )
 from rotalign import registration
-from rotalign.registration import _detect_by_resampling, _linear_fit, _resampler
+from rotalign.registration import _detect_by_resampling, _linear_fitter, _peak, _resampler
 
 
 def angle_distance_mod_pi(a: float, b: float) -> float:
@@ -683,14 +683,125 @@ def test_linear_fit_recovers_sampled_coefficients(domain, n):
     rng = np.random.default_rng(n)
     for scale in (1.0, 1e-3, 7.5):
         f = LinearField(*(scale * rng.uniform(-1, 1, 4)), domain)
-        # The fit is of the samples times 2**-e, here e of the scale.
-        e = math.frexp(scale)[1]
-        fit = _linear_fit(sample(f, n), e)
+        s = sample(f, n)
+        # The fit is of the samples times 2**-e, e of their peak.
+        fit, peak, e = _linear_fitter(s)(s.values)
+        assert (peak, e) == _peak(s.values)
         assert fit.domain == domain
         worst = max(abs(math.ldexp(a, e) - b)
                     for a, b in zip(fit.coefficients(), f.coefficients()))
         assert worst <= 1e-14 * max(map(abs, f.coefficients()))
 
+
+
+def _linear_by_whole_grid_residual(s: SampledField) -> bool:
+    """Whether the whole-grid least-squares fit reproduces s to ``_LINEAR_TOL``.
+
+    The reference for the projection route, written out over full
+    arrays: scale by the peak's power of two, a_ij = sum v_i x_j / sum
+    x1^2 (sum x1^2 over the masked cells), the fit's values zero outside
+    the mask, and the residual over every cell.
+    """
+    w = np.ldexp(s.values, -math.frexp(np.abs(s.values).max())[1])
+    x1, x2 = np.meshgrid(s.centers(), s.centers())
+    weight = np.sum(np.where(s.mask, x1 * x1, 0.0))
+    along_x1 = np.einsum("ijk,ij->k", w, x1) / weight   # (a11, a21)
+    along_x2 = np.einsum("ijk,ij->k", w, x2) / weight   # (a12, a22)
+    fit = np.where(s.mask[..., None], x1[..., None] * along_x1 + x2[..., None] * along_x2, 0.0)
+    tol = registration._LINEAR_TOL
+    return np.sum((w - fit) ** 2) <= tol * tol * np.sum(w * w)
+
+
+def _routing_pairs():
+    """(v, u) sample pairs around the linear bound and on unusual masks."""
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    for domain in (SymmetricDomain.square(1.0), UNIT_DISK):
+        field = LinearField(*v.coefficients(), domain)
+        for n in (8, 33, 512):
+            sv, su = sample(field, n), sample(total_rotate(field, 0.4), n)
+            for bend in (0.0, 1e-13, 5e-13, 2e-12, 1e-11):
+                yield sv, _bent(su, bend)
+                yield _bent(sv, bend), su
+    # Masks other than a domain's: a disk of radius 0.3 on the unit
+    # square's 96-cell grid leaves the first row block wholly outside;
+    # dropping the left 20 columns of a disk makes it asymmetric.
+    square = SymmetricDomain.square(1.0)
+    x = sample(v, 96).centers()
+    small = np.add.outer(x * x, x * x) <= 0.09
+    lopsided = sample(LinearField(1.0, 0.0, 0.0, 1.0, UNIT_DISK), 64).mask.copy()
+    lopsided[:, :20] = False
+    for domain, mask in ((square, small), (UNIT_DISK, lopsided), (UNIT_DISK, lopsided.T)):
+        n = len(mask)
+        values = [sample(LinearField(*g.coefficients(), domain), n).values
+                  for g in (v, total_rotate(v, 0.4))]
+        sv, su = (SampledField(n, domain, np.where(mask[..., None], a, 0.0), mask)
+                  for a in values)
+        for bend in (0.0, 1e-9):
+            yield sv, _bent(su, bend)
+    # Values outside the mask move the fit from the moments off the
+    # least-squares fit.  Along x, in the lower half only, with energy
+    # 0.85 tol^2 of the sample's, they leave the misfit of the trial (fit
+    # to the upper rows) within the bound and the fit's own residual past
+    # it; at 0.3 tol^2 both are within.
+    field = LinearField(*v.coefficients(), UNIT_DISK)
+    sv, su = sample(field, 64), sample(total_rotate(field, 0.4), 64)
+    x = sv.centers()
+    outside = ~sv.mask
+    outside[:32] = False
+    along_x = np.stack(np.meshgrid(x, x), axis=-1)[outside]
+    for share in (0.3, 0.85):
+        size = math.sqrt(share * registration._LINEAR_TOL ** 2 * np.sum(su.values ** 2)
+                         / np.sum(along_x ** 2))
+        values = su.values.copy()
+        values[outside] = size * along_x
+        yield sv, SampledField(su.n, su.domain, values, su.mask)
+
+
+def test_detect_sampled_routes_by_the_whole_grid_residual(monkeypatch):
+    # The trial fit of the single traversal may only accept what the
+    # whole-grid residual accepts, and a misfit past its bound must fall
+    # back to that residual: every pair routes as the reference says.
+    loops = _count_loop_calls(monkeypatch)
+    cfg = DetectorConfig(eps=1e-6, max_iter=1)
+    routes = []
+    for sv, su in _routing_pairs():
+        loops.clear()
+        detect_sampled(sv, su, cfg)
+        want = 0 if _linear_by_whole_grid_residual(sv) and _linear_by_whole_grid_residual(su) else 1
+        assert len(loops) == want
+        routes.append(want)
+    assert set(routes) == {0, 1}
+
+
+@pytest.mark.parametrize("peak", [1.5 * 2.0 ** 1023, 1.2 * 2.0 ** 1022, 1.5 * 2.0 ** 1021,
+                                  0.75 * 2.0 ** -1022, 3e-310, 2e-320])
+def test_linear_fit_scaling_matches_ldexp_at_exponent_edges(peak):
+    # 2**-exp is not a normal double for peaks from 2**1022 on and for
+    # subnormal peaks, where the fit scales with np.ldexp instead of a
+    # multiply; either way its bits equal a fit of the np.ldexp-scaled
+    # samples.  96 rows make three blocks, the last holding the peak.
+    field = recompose(Decomposition(0.3, -0.2, 0.5, 0.4))
+    s = sample(field, 96)
+    values = s.values * (peak / np.abs(s.values).max())
+    s = SampledField(s.n, s.domain, values, s.mask)
+    fit, got_peak, e = _linear_fitter(s)(s.values)
+    assert (got_peak, e) == _peak(s.values)
+    scaled_s = SampledField(s.n, s.domain, np.ldexp(s.values, -e), s.mask)
+    want, _, zero = _linear_fitter(scaled_s)(scaled_s.values)
+    assert zero == 0
+    assert (fit is None) == (want is None)
+    if fit is not None:
+        assert [x.hex() for x in fit.coefficients()] == [x.hex() for x in want.coefficients()]
+
+
+def test_scaled_equals_ldexp():
+    rng = np.random.default_rng(5)
+    values = np.concatenate([rng.uniform(-1, 1, 64), [5e-324, -2.2e-308, 1.7e308, 0.0]])
+    with np.errstate(over="ignore", under="ignore"):
+        values = np.concatenate([values, values * 2.0 ** -1000, values * 2.0 ** 1000])
+        for exp in (-1075, -1074, -1023, -1022, -1021, -3, 0, 5, 1022, 1023, 1024, 1025):
+            got = registration._scaled(values, exp, np.empty_like(values))
+            assert got.tobytes() == np.ldexp(values, exp).tobytes()
 
 
 @pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), UNIT_DISK])
