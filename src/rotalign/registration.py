@@ -12,8 +12,10 @@ shrinks the offset and the fixed-point iteration
 
     phi <- arg(correlate(u, v));  u <- total_rotate(u, phi)
 
-drives the offset to zero whenever both n1 and n2 are nonzero.  Two
-degenerate families need special handling inside the loop:
+drives the offset to zero whenever both n1 and n2 are nonzero.  A pair
+where one field is a pure saddle and the other pure source/vortex
+correlates to zero at every turn and defines no offset, so it is
+refused.  Two degenerate families need special handling inside the loop:
 
 * n1 = 0 (pure source/vortex): phi is identically zero.  The field is
   rotation invariant, so any answer is correct; a quarter-turn kick is
@@ -41,12 +43,13 @@ on the first negative reading, which is the common case.
 Linear fields are closed under total rotation, so the loop updates the
 copy exactly (the saddle coefficient pair rotates by 2*phi) instead of
 resampling.  ``detect_sampled`` is the grid-backed entry point.  It
-projects both samples onto linear fields by four grid moments, and when
-both reproduce their samples to ``_LINEAR_TOL`` = 1e-12 (relative
-residual over all cells) it answers with ``detect`` on the projections.
-Any other pair runs the same loop on the samples, with quadrature
-correlation and a copy re-interpolated each step, and is therefore
-approximate.
+projects both samples onto linear fields by four grid moments, reading
+each sample once for its peak, its fit and a bound on the fit's
+residual, and when both reproduce their samples to ``_LINEAR_TOL`` =
+1e-12 (relative residual over all cells) it answers with ``detect`` on
+the projections.  Any other pair runs the same loop on the samples,
+with quadrature correlation and a copy re-interpolated each step, and
+is therefore approximate.
 """
 
 from __future__ import annotations
