@@ -23,7 +23,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -380,7 +380,7 @@ def _centers(domain: SymmetricDomain, n: int) -> np.ndarray:
 
 
 def _grid_values(field: LinearField, x1: np.ndarray, x2: np.ndarray,
-                 mask: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+                 mask: np.ndarray) -> np.ndarray:
     """The field's values at the cell centers of rows x2, zero outside the mask.
 
     x1 holds the n column centers and x2 the centers of the rows wanted,
@@ -388,8 +388,7 @@ def _grid_values(field: LinearField, x1: np.ndarray, x2: np.ndarray,
     Each cell is one complex addition of its row's x2 terms and its
     column's x1 terms, x2 term first, and cells are masked as complex
     pairs, so no pass runs over an axis of 2 and no coordinate grid is
-    built.  The values go to ``out``, a C-contiguous (len(x2), len(x1),
-    2) array, when one is given.
+    built.
     """
     rows = np.empty(len(x2), complex)
     rows.real = x2 * field.a12
@@ -397,8 +396,7 @@ def _grid_values(field: LinearField, x1: np.ndarray, x2: np.ndarray,
     columns = np.empty(len(x1), complex)
     columns.real = x1 * field.a11
     columns.imag = x1 * field.a21
-    cells = None if out is None else out.view(complex).reshape(len(x2), len(x1))
-    values = np.add.outer(rows, columns, out=cells)
+    values = np.add.outer(rows, columns)
     np.copyto(values, 0.0, where=~mask)
     return values.view(float).reshape(len(x2), len(x1), 2)
 

@@ -600,14 +600,11 @@ def detect_sampled(v: SampledField, u: SampledField,
     try:
         with np.errstate(over="raise"):
             if u_fit is None:
-                values = _scaled(result.corrected.values, u_exp, result.corrected.values)
+                values = result.corrected.values
             else:
-                # Laid out and scaled back block by block, while each block is in cache.
                 x = u.centers()
-                values = np.empty((u.n, u.n, 2))
-                for rows in _blocks(u.n):
-                    block = _grid_values(result.corrected, x, x[rows], u.mask[rows], values[rows])
-                    _scaled(block, u_exp, block)
+                values = _grid_values(result.corrected, x, x, u.mask)
+            _scaled(values, u_exp, values)
     except FloatingPointError:
         raise ValueError(f"pattern samples (peak {u_peak!r}) are too large: their "
                          f"corrected copy overflows") from None
