@@ -481,7 +481,7 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
                        and np.array_equal(mask, mask[::-1]))
     if trial_bound:
         stretch = 1.0 + float((2 * n - columns_in - rows_in) @ squares) / weight
-        # The trial is subtracted where=True in blocks wholly inside the mask.
+        # where=True, for blocks wholly inside the mask, runs numpy's unmasked loop.
         inside = [True if m.all() else m for m in map(mask.__getitem__, _blocks(n))]
     ones_x2 = np.stack([np.ones(n), x])
     buffer = np.empty((min(n, _BLOCK_ROWS), 2 * n))
@@ -496,9 +496,8 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
         trial = None
         for k, block_rows in enumerate(_blocks(n)):
             source = rows[block_rows]
-            block_peak = max(float(source.max()), -float(source.min()))
+            block_peak, shift = _peak(source)
             if block_peak > peak:
-                shift = math.frexp(block_peak)[1]
                 if peak and shift != exp:
                     # Rescale what was summed at 2**-exp.
                     _scaled(moments, exp - shift, moments)
@@ -535,7 +534,8 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
             return linear, peak, exp
         misfit = 0.0
         for block_rows in _blocks(n):
-            block = _scaled(rows[block_rows], -exp, buffer[:len(x[block_rows])])
+            source = rows[block_rows]
+            block = _scaled(source, -exp, buffer[:len(source)])
             block -= _grid_values(linear, x, x[block_rows], mask[block_rows]).reshape(block.shape)
             misfit += np.vdot(block, block)
             if misfit > bound:
