@@ -578,6 +578,7 @@ def detect_sampled(v: SampledField, u: SampledField,
         u_peak, u_exp = _peak(u.values)
     else:
         u_fit, u_peak, u_exp = fit(u.values)
+    del fit  # and its block buffer, before any full-size copy is made
     if u_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align a zero pattern")
 
