@@ -779,7 +779,7 @@ def test_linear_fit_scaling_matches_ldexp_at_exponent_edges(peak):
     # 2**-exp is not a normal double for peaks from 2**1022 on and for
     # subnormal peaks, where the fit scales with np.ldexp instead of a
     # multiply; either way its bits equal a fit of the np.ldexp-scaled
-    # samples.  96 rows make three blocks, the last holding the peak.
+    # samples.  96 rows make three blocks.
     field = recompose(Decomposition(0.3, -0.2, 0.5, 0.4))
     s = sample(field, 96)
     values = s.values * (peak / np.abs(s.values).max())
@@ -792,6 +792,21 @@ def test_linear_fit_scaling_matches_ldexp_at_exponent_edges(peak):
     assert (fit is None) == (want is None)
     if fit is not None:
         assert [x.hex() for x in fit.coefficients()] == [x.hex() for x in want.coefficients()]
+
+
+def test_linear_fit_rescales_its_sums_exactly(monkeypatch):
+    # On the disk the first block's rows are the narrowest, so its peak
+    # has a smaller exponent than the sample's and the sums taken so far
+    # are rescaled.  Dyadic centers and values make every sum exact, so
+    # the fit must equal a one-block fit, scaled once, bit for bit.
+    s = sample(LinearField(2.25, 0.25, -0.5, 0.25, UNIT_DISK), 256)
+    assert _peak(s.values[:32])[1] < _peak(s.values)[1]
+    fit, peak, e = _linear_fitter(s)(s.values)
+    monkeypatch.setattr(registration, "_BLOCK_ROWS", s.n)
+    want, want_peak, want_e = _linear_fitter(s)(s.values)
+    assert (peak, e) == (want_peak, want_e)
+    assert fit.coefficients() == want.coefficients()
+    assert [math.ldexp(a, e) for a in fit.coefficients()] == [2.25, 0.25, -0.5, 0.25]
 
 
 def test_scaled_equals_ldexp():
