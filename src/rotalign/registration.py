@@ -30,9 +30,11 @@ refused.  Two degenerate families need special handling inside the loop:
 The branch rule acts at readings 1 and 2 only: the kick at reading 1,
 the halve or the lock at reading 2.  ``detect`` runs those two readings
 with the accumulator and the rule, and every later reading in a tight
-loop that only reads, turns and adds.  The trace entries of the later
-readings are built after the loop, from the accumulator's same
-left-to-right sums, so they equal entries recorded reading by reading.
+loop that only reads, turns and adds.  Both detectors record plain
+values: readings 1 and 2 as (phi, accumulator, branch), every later
+one as its phi.  ``DetectionResult.trace`` builds the entries from them
+when it is first read, summing the accumulator of the later readings
+left to right, so they equal entries recorded reading by reading.
 
 Loop equality tests ("accumulator is zero", "phi is -pi/2") are taken
 up to ``_ZERO_TOL`` = 1e-9 because correlation arguments are floating
@@ -57,9 +59,10 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import accumulate, repeat
+from functools import cached_property
+from itertools import accumulate, count, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -149,16 +152,35 @@ class DetectionResult:
     rotations the loop applied to the pattern.  The trace keeps the raw
     per-iteration readings and the loop's own accumulator (which the
     special-case branches overwrite), unwrapped for debuggability.
+
+    The loop records only ``_readings``: readings 1 and 2 as (phi,
+    accumulator, branch) and every later one as its phi, or nothing
+    when it keeps no trace.  ``trace`` is built from them when it is
+    first read, and kept.  Results compare, hash, pickle and
+    ``replace`` by their readings, which determine the trace.
     """
 
     alpha: float
     iterations: int
-    trace: tuple
+    _readings: tuple = field(repr=False)
     status: DetectionStatus
     corrected: object  # LinearField or SampledField
 
     def converged(self) -> bool:
         return self.status is DetectionStatus.CONVERGED
+
+    @cached_property
+    def trace(self) -> tuple:
+        """One ``TraceEntry`` per reading; () when the loop kept no trace."""
+        head = self._readings[:2]
+        phis = self._readings[2:]
+        entries = [TraceEntry(i, *reading) for i, reading in enumerate(head, 1)]
+        if phis:
+            after = accumulate(phis, initial=head[1][1])
+            next(after)
+            entries.extend(map(tuple.__new__, repeat(TraceEntry),
+                               zip(count(3), phis, after, repeat(None))))
+        return tuple(entries)
 
 
 def phi_of_alpha(v: LinearField, alpha: float) -> float:
@@ -233,7 +255,7 @@ def _pair_norms(field: LinearField) -> tuple:
 
 def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
              cc: float, dd: float, cross: float, eps: float, max_iter: int,
-             applied: float = 0.0, iteration: int = 0, trace: Optional[list] = None) -> tuple:
+             applied: float = 0.0, iteration: int = 0, readings: Optional[list] = None) -> tuple:
     """``detect``'s loop, resumed after ``iteration`` readings to its stop.
 
     (av, bv) and (au, bu) are the scaled saddle coordinates of the field
@@ -242,8 +264,9 @@ def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
     the loop without changing a bit.  The trial must still be running,
     and no branch may have acted on it, so the loop's own accumulator
     (which the branches overwrite) starts at ``applied``, the rotation
-    applied so far.  Entries are appended to ``trace`` when one is
-    given.  Returns (au, bu, applied, iteration, capped).
+    applied so far.  When ``readings`` is given, each reading is
+    appended to it as ``DetectionResult`` keeps them.  Returns (au, bu,
+    applied, iteration, capped).
     """
     atan2 = math.atan2
     cos = math.cos
@@ -270,20 +293,17 @@ def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
         au, bu = au * c2 - bu * s2, au * s2 + bu * c2
         applied += phi
 
-        if trace is not None:
-            trace.append(TraceEntry(iteration, phi, alpha_acc, branch))
+        if readings is not None:
+            readings.append((phi, alpha_acc, branch))
 
     if abs(phi) <= eps:
         return au, bu, applied, iteration, False
 
     # Readings 3 on: the branch rule cannot fire, so only read, turn and
-    # add.  Their trace entries are built after the loop, from the
-    # accumulator's same left-to-right sums.
-    first = iteration + 1
-    record = trace is not None
-    phis = []
+    # add, and record the reading alone.
+    record = readings is not None
     capped = False
-    for iteration in range(first, max_iter + 1):
+    for iteration in range(iteration + 1, max_iter + 1):
         phi = atan2(moment * ((au * bv - bu * av) - cross), moment * (au * av + bu * bv + cc + dd))
         twice = 2.0 * phi
         c2 = cos(twice)
@@ -291,17 +311,11 @@ def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
         au, bu = au * c2 - bu * s2, au * s2 + bu * c2
         applied += phi
         if record:
-            phis.append(phi)
+            readings.append(phi)
         if abs(phi) <= eps:
             break
     else:
         capped = True
-
-    if record and phis:
-        after = accumulate(phis, initial=alpha_acc)
-        next(after)
-        trace.extend(map(tuple.__new__, repeat(TraceEntry),
-                         zip(range(first, iteration + 1), phis, after, repeat(None))))
     return au, bu, applied, iteration, capped
 
 
@@ -343,21 +357,21 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
             raise ValueError(f"pattern {u.coefficients()!r} is too large: some turn of it "
                              f"overflows its entries")
 
-    trace = [] if record_trace else None
+    readings = [] if record_trace else None
     au, bu, applied, iteration, capped = _iterate(
         moment, av, bv, au, bu, cu * cv, d_u * d_v, cu * d_v - d_u * cv,
-        cfg.eps, cfg.max_iter, trace=trace)
+        cfg.eps, cfg.max_iter, readings=readings)
     corrected = LinearField(*_entries(math.ldexp(au, u_exp), math.ldexp(bu, u_exp), u_c, u_d),
                             v.domain)
-    return _result(applied, iteration, trace or (), capped, corrected)
+    return _result(applied, iteration, readings or (), capped, corrected)
 
 
-def _result(applied: float, iteration: int, trace, capped: bool,
+def _result(applied: float, iteration: int, readings, capped: bool,
             corrected) -> DetectionResult:
     """The result of a loop that applied ``applied`` in ``iteration`` readings."""
     status = DetectionStatus.MAX_ITER_EXCEEDED if capped else DetectionStatus.CONVERGED
     return DetectionResult(alpha=wrap_angle(-applied), iterations=iteration,
-                           trace=tuple(trace), status=status, corrected=corrected)
+                           _readings=tuple(readings), status=status, corrected=corrected)
 
 
 _BLOCK_ROWS = 32  # rows per pass of the resampler and the fit, so the temporaries stay in cache
@@ -629,7 +643,7 @@ def _detect_by_resampling(v: SampledField, u: SampledField,
     iteration = 0
     kicked = False
     capped = False
-    trace = []
+    readings = []
 
     while abs(phi) > cfg.eps:
         if iteration == cfg.max_iter:
@@ -643,9 +657,9 @@ def _detect_by_resampling(v: SampledField, u: SampledField,
 
         applied += phi
         current = rotate(applied)
-        trace.append(TraceEntry(iteration, phi, alpha_acc, branch))
+        readings.append((phi, alpha_acc, branch) if iteration <= 2 else phi)
 
-    return _result(applied, iteration, trace, capped, current)
+    return _result(applied, iteration, readings, capped, current)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import math
+import pickle
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,8 +39,17 @@ from rotalign import (
     vortex,
     wrap_angle,
 )
-from rotalign import registration
-from rotalign.registration import _detect_by_resampling, _linear_fitter, _peak, _resampler
+from rotalign import TraceEntry, registration
+from rotalign.correlation import correlate_sampled, second_moment
+from rotalign.fields import _coordinates
+from rotalign.registration import (
+    _detect_by_resampling,
+    _linear_fitter,
+    _peak,
+    _resampler,
+    _special_case,
+    _unit_scaled,
+)
 
 
 def angle_distance_mod_pi(a: float, b: float) -> float:
@@ -1077,3 +1089,153 @@ def test_detect_branch_seam_is_pinned():
     assert repr(r.trace[2].phi) == "0.0"
     assert _seam_digest() == (
         "c10aa7013cd38d28d8629568debd8e717ea123eb0b62faa292586c33b879cf41")
+
+
+def test_detect_builds_no_trace_entry_until_the_trace_is_read():
+    # With the collector off, every TraceEntry made stays listed by
+    # gc.get_objects(): detect makes none of its 84 until .trace is read.
+    v = LinearField(0.3, -0.8, 0.5, 0.1)
+    u = total_rotate(v, 0.7)
+
+    def entries() -> int:
+        return sum(type(o) is TraceEntry for o in gc.get_objects())
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = entries()
+        r = detect(v, u, DetectorConfig(eps=1e-6))
+        assert r.iterations == 84
+        assert entries() == before
+        assert len(r.trace) == 84
+        assert entries() == before + 84
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _eager_trace(read, turn, cfg: DetectorConfig) -> tuple:
+    """A loop's trace built reading by reading: read() the copy, turn(phi) it."""
+    phi, alpha_acc, kicked, trace = math.pi, 0.0, False, []
+    while abs(phi) > cfg.eps and len(trace) < cfg.max_iter:
+        iteration = len(trace) + 1
+        phi = read()
+        alpha_acc += phi
+        phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
+        turn(phi)
+        trace.append(TraceEntry(iteration, phi, alpha_acc, branch))
+    return tuple(trace)
+
+
+def _eager_linear_trace(v: LinearField, u: LinearField, cfg: DetectorConfig) -> tuple:
+    """``detect``'s trace, read and turned on the scaled coordinates as it reads them."""
+    moment = second_moment(v.domain)
+    av, bv, cv, dv, _ = _unit_scaled(*_coordinates(v.a11, v.a12, v.a21, v.a22))
+    au, bu, cu, du, _ = _unit_scaled(*_coordinates(u.a11, u.a12, u.a21, u.a22))
+    saddle_u = [au, bu]
+
+    def read() -> float:
+        au, bu = saddle_u
+        return math.atan2(moment * ((au * bv - bu * av) - (cu * dv - du * cv)),
+                          moment * (au * av + bu * bv + cu * cv + du * dv))
+
+    def turn(phi: float) -> None:
+        au, bu = saddle_u
+        c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
+        saddle_u[:] = au * c2 - bu * s2, au * s2 + bu * c2
+
+    return _eager_trace(read, turn, cfg)
+
+
+def _eager_resampled_trace(v: SampledField, u: SampledField, cfg: DetectorConfig) -> tuple:
+    """``_detect_by_resampling``'s trace, resampling the copy at the applied angle."""
+    rotate = _resampler(u)
+    state = [u, 0.0]   # the copy and the rotation applied to it
+
+    def turn(phi: float) -> None:
+        state[1] += phi
+        state[0] = rotate(state[1])
+
+    return _eager_trace(lambda: correlate_sampled(state[0], v).argument, turn, cfg)
+
+
+def _trace_families():
+    """(v, u) linear pairs: random, pure saddle, pure invariant, quarter turn, near pure."""
+    rng = np.random.default_rng(1616)
+    for _ in range(4):
+        v = LinearField(*rng.uniform(-1, 1, 4))
+        yield v, total_rotate(v, float(rng.uniform(-math.pi, math.pi)))
+        yield v, LinearField(*rng.uniform(-1, 1, 4))
+    for dec in ((0.9, -0.3, 0.0, 0.0), (0.0, 0.0, 0.4, -0.7),
+                (1e-5, 0.0, 1.0, 0.0), (1.0, 0.0, 1e-5, 0.0)):
+        v = recompose(Decomposition(*dec))
+        for t in (0.0, 0.3, math.pi / 4, math.pi / 2, -math.pi / 2):
+            yield v, total_rotate(v, t)
+
+
+TRACE_CONFIGS = [DetectorConfig(eps=eps, max_iter=cap)
+                 for eps in (0.1, 1e-2, 1e-4, 1e-6) for cap in (1, 2, 3, 4, 10000)]
+
+
+def test_detect_trace_matches_an_eager_reference():
+    for v, u in _trace_families():
+        for cfg in TRACE_CONFIGS:
+            r = detect(v, u, cfg)
+            want = _eager_linear_trace(v, u, cfg)
+            assert r.trace is r.trace
+            assert type(r.trace) is tuple
+            assert all(type(e) is TraceEntry for e in r.trace)
+            assert repr(r.trace) == repr(want)
+            assert len(r.trace) == r.iterations
+            bare = detect(v, u, cfg, record_trace=False)
+            assert bare.trace == ()
+            assert (bare.alpha, bare.iterations, bare.status) == (r.alpha, r.iterations, r.status)
+
+
+def test_detection_results_compare_hash_replace_and_pickle_by_their_trace():
+    v = LinearField(0.3, -0.8, 0.5, 0.1)
+    u = total_rotate(v, 0.7)
+    cfg = DetectorConfig(eps=1e-6)
+    r, again, bare = detect(v, u, cfg), detect(v, u, cfg), detect(v, u, cfg, record_trace=False)
+    assert r == again and hash(r) == hash(again)
+    assert r.trace == again.trace   # reading one side's trace changes neither
+    assert r == again and hash(r) == hash(again)
+    assert bare != r and bare == detect(v, u, cfg, record_trace=False)
+    assert len({r, again, bare}) == 2
+    assert detect(v, total_rotate(u, 1e-3), cfg) != r
+    moved = replace(r, corrected=v)
+    assert moved.trace == r.trace and moved.corrected is v and moved != r
+    assert replace(moved, corrected=r.corrected) == r
+    for result in (detect(v, u, cfg), r, bare):
+        back = pickle.loads(pickle.dumps(result))
+        assert back == result and hash(back) == hash(result)
+        assert repr(back.trace) == repr(result.trace)
+
+
+def test_detect_sampled_trace_matches_an_eager_reference(monkeypatch):
+    # Both routes: the reference runs on the inputs detect_sampled hands
+    # to detect (linear samples) or to the resample loop (bent samples).
+    handed = []
+    inner_detect = registration.detect
+    inner_loop = registration._detect_by_resampling
+    monkeypatch.setattr(registration, "detect",
+                        lambda *args: handed.append((_eager_linear_trace, args))
+                        or inner_detect(*args))
+    monkeypatch.setattr(registration, "_detect_by_resampling",
+                        lambda *args: handed.append((_eager_resampled_trace, args))
+                        or inner_loop(*args))
+    pairs = [(sample(v, 16), sample(u, 16)) for v, u in list(_trace_families())[::3]]
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    bent = _bent(sample(v, 16), 1e-3)
+    pairs += [(sample(v, 16), _bent(sample(total_rotate(v, 0.4), 16), 1e-3)), (bent, bent)]
+    routes = set()
+    for sv, su in pairs:
+        for cfg in TRACE_CONFIGS[::2] + [TRACE_CONFIGS[-1]]:
+            handed.clear()
+            r = detect_sampled(sv, su, cfg)
+            (reference, args), = handed
+            routes.add(reference)
+            assert r.trace is r.trace
+            assert all(type(e) is TraceEntry for e in r.trace)
+            assert repr(r.trace) == repr(reference(*args))
+    assert routes == {_eager_linear_trace, _eager_resampled_trace}
