@@ -1132,17 +1132,15 @@ def _eager_linear_trace(v: LinearField, u: LinearField, cfg: DetectorConfig) -> 
     moment = second_moment(v.domain)
     av, bv, cv, dv, _ = _unit_scaled(*_coordinates(v.a11, v.a12, v.a21, v.a22))
     au, bu, cu, du, _ = _unit_scaled(*_coordinates(u.a11, u.a12, u.a21, u.a22))
-    saddle_u = [au, bu]
 
     def read() -> float:
-        au, bu = saddle_u
         return math.atan2(moment * ((au * bv - bu * av) - (cu * dv - du * cv)),
                           moment * (au * av + bu * bv + cu * cv + du * dv))
 
     def turn(phi: float) -> None:
-        au, bu = saddle_u
+        nonlocal au, bu
         c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
-        saddle_u[:] = au * c2 - bu * s2, au * s2 + bu * c2
+        au, bu = au * c2 - bu * s2, au * s2 + bu * c2
 
     return _eager_trace(read, turn, cfg)
 
@@ -1150,13 +1148,14 @@ def _eager_linear_trace(v: LinearField, u: LinearField, cfg: DetectorConfig) -> 
 def _eager_resampled_trace(v: SampledField, u: SampledField, cfg: DetectorConfig) -> tuple:
     """``_detect_by_resampling``'s trace, resampling the copy at the applied angle."""
     rotate = _resampler(u)
-    state = [u, 0.0]   # the copy and the rotation applied to it
+    current, applied = u, 0.0
 
     def turn(phi: float) -> None:
-        state[1] += phi
-        state[0] = rotate(state[1])
+        nonlocal current, applied
+        applied += phi
+        current = rotate(applied)
 
-    return _eager_trace(lambda: correlate_sampled(state[0], v).argument, turn, cfg)
+    return _eager_trace(lambda: correlate_sampled(current, v).argument, turn, cfg)
 
 
 def _trace_families():
@@ -1216,14 +1215,13 @@ def test_detect_sampled_trace_matches_an_eager_reference(monkeypatch):
     # Both routes: the reference runs on the inputs detect_sampled hands
     # to detect (linear samples) or to the resample loop (bent samples).
     handed = []
-    inner_detect = registration.detect
-    inner_loop = registration._detect_by_resampling
-    monkeypatch.setattr(registration, "detect",
-                        lambda *args: handed.append((_eager_linear_trace, args))
-                        or inner_detect(*args))
-    monkeypatch.setattr(registration, "_detect_by_resampling",
-                        lambda *args: handed.append((_eager_resampled_trace, args))
-                        or inner_loop(*args))
+    for name, reference in (("detect", _eager_linear_trace),
+                            ("_detect_by_resampling", _eager_resampled_trace)):
+        def spy(*args, inner=getattr(registration, name), reference=reference):
+            handed.append((reference, args))
+            return inner(*args)
+
+        monkeypatch.setattr(registration, name, spy)
     pairs = [(sample(v, 16), sample(u, 16)) for v, u in list(_trace_families())[::3]]
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     bent = _bent(sample(v, 16), 1e-3)
