@@ -151,8 +151,9 @@ def _cmd_correlate(args) -> int:
         else:
             cor = correlate_linear(pattern, field)
     v = cor.value
-    # Two nonzero fields whose value underflowed (or which are orthogonal)
-    # have no argument; atan2 would read 0.
+    # Two nonzero fields that are orthogonal, or whose samples' products
+    # underflowed, have no argument; atan2 would read 0.  (correlate_linear
+    # refuses a value that underflows itself.)
     if cor.magnitude < sys.float_info.min and not (field.is_zero() or pattern.is_zero()):
         raise ValueError("the correlation of these nonzero fields is zero or subnormal, "
                          "so its argument is undefined")

@@ -22,6 +22,7 @@ Two backends:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,9 @@ class CorrelationValue:
 
     ``argument`` is atan2(bivector, scalar) in (-pi, pi] and 0.0 for the
     all-zero value, which zero fields give, but so do orthogonal fields
-    (a saddle against a source) and products that underflow.  A value that
-    is not finite has no argument, so ``from_multivector`` refuses it.
+    (a saddle against a source) and, for samples, products that
+    underflow.  A value that is not finite has no argument, so
+    ``from_multivector`` refuses it.
     """
 
     value: Multivector2
@@ -85,16 +87,40 @@ def correlate_linear(u: LinearField, v: LinearField) -> CorrelationValue:
         bivector = (I_A/2) * (U11 V21 - U21 V11 + U12 V22 - U22 V12)
 
     Reversion of a grade-1 field is the field itself, so no sign enters.
+
+    The argument is read, as ``detect`` reads it, from the same sums
+    over each field's entries scaled by a power of two, so it is the same
+    at any scale.  A value that overflows is refused, and so is one
+    that underflows to zero or to a subnormal although the scaled sums
+    are not zero: its argument would be lost.  Zero and orthogonal
+    fields keep the argument 0.0.
     """
     if u.domain != v.domain:
         raise DomainMismatchError(
             f"correlate_linear needs a shared domain, got {u.domain} and {v.domain}")
     half_moment = 0.5 * second_moment(u.domain)
-    scalar = half_moment * (u.a11 * v.a11 + u.a12 * v.a12
-                            + u.a21 * v.a21 + u.a22 * v.a22)
-    bivector = half_moment * (u.a11 * v.a21 - u.a21 * v.a11
-                              + u.a12 * v.a22 - u.a22 * v.a12)
-    return CorrelationValue.from_multivector(Multivector2.spinor(scalar, bivector))
+    cor = CorrelationValue.from_multivector(
+        Multivector2.spinor(*_sums(half_moment, u.coefficients(), v.coefficients())))
+    scalar, bivector = _sums(half_moment, _unit_scaled(u), _unit_scaled(v))
+    if cor.magnitude < sys.float_info.min and (scalar or bivector):
+        raise ValueError("the correlation of these fields underflows to "
+                         f"{cor.magnitude!r}, so its argument is lost")
+    return CorrelationValue(cor.value, math.atan2(bivector, scalar), cor.magnitude)
+
+
+def _sums(half_moment: float, u: tuple, v: tuple) -> tuple:
+    """(scalar, bivector) of ``correlate_linear`` on entries u and v, (a11, a12, a21, a22) each."""
+    u11, u12, u21, u22 = u
+    v11, v12, v21, v22 = v
+    return (half_moment * (u11 * v11 + u12 * v12 + u21 * v21 + u22 * v22),
+            half_moment * (u11 * v21 - u21 * v11 + u12 * v22 - u22 * v12))
+
+
+def _unit_scaled(field: LinearField) -> tuple:
+    """The field's entries times 2**-e, the largest in [0.5, 1) (all zero for the zero field)."""
+    entries = field.coefficients()
+    _, e = math.frexp(max(map(abs, entries)))
+    return tuple(math.ldexp(x, -e) for x in entries)
 
 
 def correlate_sampled(u: SampledField, v: SampledField) -> CorrelationValue:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -320,6 +321,14 @@ class SampledField:
         if not np.isfinite(values).all():
             raise ValueError("sampled field values must be finite")
 
+    @classmethod
+    def _unchecked(cls, n: int, domain: SymmetricDomain, values: np.ndarray,
+                   mask: np.ndarray) -> "SampledField":
+        """A field on arrays known to pass ``__post_init__``, built without its checks."""
+        self = object.__new__(cls)
+        self.__dict__.update(n=n, domain=domain, values=values, mask=mask)
+        return self
+
     @property
     def cell_area(self) -> float:
         h = 2.0 * self.domain.bounding_half_side / self.n
@@ -330,10 +339,13 @@ class SampledField:
 
     def compatible_with(self, other: "SampledField") -> bool:
         return (self.n == other.n and self.domain == other.domain
-                and bool(np.array_equal(self.mask, other.mask)))
+                and (self.mask is other.mask or bool(np.array_equal(self.mask, other.mask))))
 
 
 FieldLike = Union[LinearField, Callable]
+
+# (domain, n) -> the grid's mask, for as long as some sample holds it.
+_MASKS = weakref.WeakValueDictionary()
 
 
 def sample(field: FieldLike, n: int, domain: SymmetricDomain | None = None) -> SampledField:
@@ -341,7 +353,8 @@ def sample(field: FieldLike, n: int, domain: SymmetricDomain | None = None) -> S
 
     Closures are called as f(x1, x2) -> (v1, v2); array arguments are
     tried first so numpy-written closures evaluate in one call, with a
-    per-cell fallback for plain scalar closures.
+    per-cell fallback for plain scalar closures.  Samples on the same
+    (domain, n) share one read-only mask while any of them holds it.
     """
     if n < 2:
         raise ValueError(f"grid resolution must be at least 2, got {n}")
@@ -353,7 +366,11 @@ def sample(field: FieldLike, n: int, domain: SymmetricDomain | None = None) -> S
         raise ValueError("sampling a closure needs an explicit domain")
 
     centers = _centers(domain, n)
-    mask = domain.contains_grid(centers[None, :], centers[:, None])
+    mask = _MASKS.get((domain, n))
+    if mask is None:
+        mask = domain.contains_grid(centers[None, :], centers[:, None])
+        mask.flags.writeable = False
+        _MASKS[domain, n] = mask
     if isinstance(field, LinearField):
         return SampledField(n, domain, _grid_values(field, centers, centers, mask), mask)
 

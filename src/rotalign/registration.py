@@ -52,6 +52,13 @@ residual, and when both reproduce their samples to ``_LINEAR_TOL`` =
 the projections.  Any other pair runs the same loop on the samples,
 with quadrature correlation and a copy re-interpolated each step, and
 is therefore approximate.
+
+A result's ``corrected`` copy is a by-product of the answer, so
+``detect`` and the projection keep only what it is built from (the
+turned saddle pair, the pattern's exponent, its invariant pair, the
+grid) and build it when it is first read.  Whether it overflows is
+settled during the call: where a bound on its entries cannot rule
+that out, the same builder runs at once.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ import operator
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, count, repeat
 from typing import Callable, NamedTuple, Optional
 
@@ -73,6 +80,8 @@ from .fields import (
     DomainMismatchError,
     LinearField,
     SampledField,
+    SymmetricDomain,
+    _centers,
     _conjugate,
     _coordinates,
     _entries,
@@ -142,6 +151,38 @@ class DetectorConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
+class _Deferred(partial):
+    """A corrected copy not built yet: calling it builds the copy."""
+
+    __slots__ = ()
+
+
+def _when_read(eager: bool, build: Callable, *args):
+    """``build(*args)`` now when eager, else a ``_Deferred`` that builds it when first read."""
+    return build(*args) if eager else _Deferred(build, *args)
+
+
+class _BuiltOnRead:
+    """``DetectionResult.corrected``: a field whose value may be a ``_Deferred``.
+
+    The value is kept under ``_corrected``; a deferred one is built on the
+    first read and replaces its recipe, so later reads return the same
+    object.  A class-level read raises ``AttributeError``, so that the
+    dataclass sees no default.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError("corrected")
+        value = result.__dict__["_corrected"]
+        if type(value) is _Deferred:
+            value = result.__dict__["_corrected"] = value()
+        return value
+
+    def __set__(self, result, value):
+        result.__dict__["_corrected"] = value
+
+
 @dataclass(frozen=True)
 class DetectionResult:
     """Outcome of a detection run.
@@ -158,13 +199,20 @@ class DetectionResult:
     when it keeps no trace.  ``trace`` is built from them when it is
     first read, and kept.  Results compare, hash, pickle and
     ``replace`` by their readings, which determine the trace.
+
+    ``corrected`` is the pattern turned by the answer.  The detectors
+    hand it over as a recipe, the few values it is built from, and it
+    is built on its first read and kept; where it could overflow it is
+    built during the call instead, by the same builder.  Comparing,
+    hashing, ``repr`` and ``replace`` without ``corrected=`` read it, as
+    they read every field; pickling keeps the recipe.
     """
 
     alpha: float
     iterations: int
     _readings: tuple = field(repr=False)
     status: DetectionStatus
-    corrected: object  # LinearField or SampledField
+    corrected: object = _BuiltOnRead()  # LinearField or SampledField
 
     def converged(self) -> bool:
         return self.status is DetectionStatus.CONVERGED
@@ -350,7 +398,8 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     # h = hypot(a, b), so some turn overflows an entry of the corrected
     # pattern (a' + c, ...) or a sum of entries (2 a', ...) when
     # h + max(h, |c|, |d|) overflows.  Scaled, that is below 4, so only
-    # the top two exponents need the test.
+    # the top two exponents need the test, and below the top four the
+    # corrected pattern can wait until it is read.
     if u_exp >= _MAX_EXP - 1:
         h = math.hypot(au, bu)
         if math.frexp(h + max(h, abs(cu), abs(d_u)))[1] + u_exp > _MAX_EXP:
@@ -361,9 +410,14 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
     au, bu, applied, iteration, capped = _iterate(
         moment, av, bv, au, bu, cu * cv, d_u * d_v, cu * d_v - d_u * cv,
         cfg.eps, cfg.max_iter, readings=readings)
-    corrected = LinearField(*_entries(math.ldexp(au, u_exp), math.ldexp(bu, u_exp), u_c, u_d),
-                            v.domain)
+    corrected = _when_read(u_exp >= _MAX_EXP - 3, _linear_copy, au, bu, u_c, u_d, u_exp, v.domain)
     return _result(applied, iteration, readings or (), capped, corrected)
+
+
+def _linear_copy(au: float, bu: float, c: float, d: float, exp: int,
+                 domain: SymmetricDomain) -> LinearField:
+    """The field with saddle pair (au, bu) * 2**exp and invariant pair (c, d)."""
+    return LinearField(*_entries(math.ldexp(au, exp), math.ldexp(bu, exp), c, d), domain)
 
 
 def _result(applied: float, iteration: int, readings, capped: bool,
@@ -385,7 +439,9 @@ def _resampler(original: SampledField) -> Callable[[float], SampledField]:
     The components are copied once into zero planes with a two-cell
     margin, and floored cell indices are clipped to [-2, n]: a clipped
     corner then lands in the margin, so every lookup is a plain gather.
-    Approximate by nature, unlike the linear-field path.
+    Approximate by nature, unlike the linear-field path.  The copies are
+    not checked for finite values: the detector's samples peak below 1,
+    and an interpolated, rotated value stays below 1.5.
     """
     n = original.n
     length = original.domain.bounding_half_side
@@ -425,7 +481,7 @@ def _resampler(original: SampledField) -> Callable[[float], SampledField]:
             block[:, :, 0] = c * interp[0] - s * interp[1]
             block[:, :, 1] = s * interp[0] + c * interp[1]
         rotated[outside] = 0.0
-        return SampledField(n, original.domain, rotated, original.mask)
+        return SampledField._unchecked(n, original.domain, rotated, original.mask)
 
     return rotate
 
@@ -573,13 +629,14 @@ def detect_sampled(v: SampledField, u: SampledField,
     1e-12 (relative residual over all cells; see ``_linear_fitter``,
     which scales them block by block), the answer is ``detect`` on the
     two projected linear fields, and ``corrected`` holds the masked
-    samples of its corrected field; no scaled copy of either sample is
-    made.  Otherwise both scaled copies are made and
-    ``_detect_by_resampling`` runs the loop on them, and ``corrected``
-    is its last resampled copy.  Either way ``corrected`` is scaled back
-    to the pattern's scale; a turned copy can peak above the samples,
-    and a pattern whose copy would then overflow is refused with
-    ``ValueError``.
+    samples of its corrected field, laid out on the grid when first
+    read; no scaled copy of either sample is made.  Otherwise both
+    scaled copies are made and ``_detect_by_resampling`` runs the loop
+    on them, and ``corrected`` is its last resampled copy.  Either way
+    ``corrected`` is scaled back to the pattern's scale.  A turned copy
+    can peak above the samples, and a pattern whose copy would then
+    overflow is refused with ``ValueError`` during the call.  The result
+    holds the mask but neither sample's values.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
@@ -598,8 +655,9 @@ def detect_sampled(v: SampledField, u: SampledField,
 
     if u_fit is None:
         result = _detect_by_resampling(
-            SampledField(v.n, v.domain, _scaled(v.values, -v_exp, None), v.mask),
-            SampledField(u.n, u.domain, _scaled(u.values, -u_exp, None), u.mask), cfg)
+            SampledField._unchecked(v.n, v.domain, _scaled(v.values, -v_exp, None), v.mask),
+            SampledField._unchecked(u.n, u.domain, _scaled(u.values, -u_exp, None), u.mask),
+            cfg)
     else:
         # The projections carry rounding noise, so detect's test for a
         # pair that no turn correlates is taken relative to their norms.
@@ -613,17 +671,36 @@ def detect_sampled(v: SampledField, u: SampledField,
     # A turned copy can peak above its pattern (by up to sqrt(2) for a
     # saddle on the square), so it may overflow where the samples did not.
     try:
-        with np.errstate(over="raise"):
-            if u_fit is None:
-                values = result.corrected.values
-            else:
-                x = u.centers()
-                values = _grid_values(result.corrected, x, x, u.mask)
-            _scaled(values, u_exp, values)
+        if u_fit is None:
+            values = result.corrected.values
+            with np.errstate(over="raise"):
+                _scaled(values, u_exp, values)
+            return result
+        linear = result.corrected
+        # Every value a11*x1 + a12*x2 or a21*x1 + a22*x2 of the scaled
+        # copy lies below reach, as |x1|, |x2| < L.  Scaled back, one
+        # below 2**(_MAX_EXP - 1), a binade short of overflow, can wait.
+        reach = (max(abs(linear.a11) + abs(linear.a12), abs(linear.a21) + abs(linear.a22))
+                 * u.domain.bounding_half_side)
+        eager = u_exp >= _MAX_EXP - 3 or math.frexp(reach)[1] + u_exp >= _MAX_EXP
+        corrected = _when_read(eager, _sampled_copy, linear, u_exp, u.n, u.domain, u.mask)
     except FloatingPointError:
         raise ValueError(f"pattern samples (peak {u_peak!r}) are too large: their "
                          f"corrected copy overflows") from None
-    return replace(result, corrected=SampledField(u.n, u.domain, values, u.mask))
+    return replace(result, corrected=corrected)
+
+
+def _sampled_copy(linear: LinearField, exp: int, n: int, domain: SymmetricDomain,
+                  mask: np.ndarray) -> SampledField:
+    """The masked samples of ``linear`` on the n-grid, times 2**exp.
+
+    Raises ``FloatingPointError`` if a value overflows.
+    """
+    x = _centers(domain, n)
+    values = _grid_values(linear, x, x, mask)
+    with np.errstate(over="raise"):
+        _scaled(values, exp, values)
+    return SampledField._unchecked(n, domain, values, mask)
 
 
 def _detect_by_resampling(v: SampledField, u: SampledField,
@@ -724,9 +801,9 @@ def detect_known_pattern(pattern_saddle: LinearField, field: LinearField) -> flo
     alone yields exp(-2*alpha*e12) times a positive norm (the invariant
     part of the field drops out over the symmetric domain), so the
     offset is minus half the correlation argument.  As in ``rotalign
-    correlate``, a correlation that is zero or subnormal has no argument
-    (``DegenerateZeroFieldError``), and one that overflows is refused by
-    ``correlate_linear`` (``ValueError``).
+    correlate``, a correlation that is zero has no argument
+    (``DegenerateZeroFieldError``), and one that overflows or underflows
+    is refused by ``correlate_linear`` (``ValueError``).
     """
     dec = decompose(pattern_saddle)
     saddle_only = recompose(Decomposition(dec.a, dec.b, 0.0, 0.0),

@@ -20,8 +20,10 @@ from rotalign import (
     product_at,
     recompose,
     reverse,
+    saddle,
     sample,
     second_moment,
+    source,
     total_rotate,
     vortex,
 )
@@ -222,3 +224,25 @@ def test_overflowing_correlation_is_refused():
         correlate_linear(u, v)
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
         correlate_sampled(sample(u, 16), sample(v, 16))
+
+
+def test_linear_argument_is_read_at_any_scale():
+    # The argument comes from power-of-two scaled entries: the same bits
+    # at 2**+-500 as at scale 1.  At 1e-200 the value underflows to zero
+    # (the argument is -0.6, not 0.0), so it is refused; zero and
+    # orthogonal fields keep their 0.0.
+    v = recompose(Decomposition(0.6, -0.3, 0.0, 0.0))
+    base = correlate_linear(total_rotate(v, 0.3), v)
+    assert abs(base.argument + 0.6) <= 1e-12
+    for k in (2.0 ** 500, 2.0 ** -500):
+        w = LinearField(*(k * c for c in v.coefficients()))
+        got = correlate_linear(total_rotate(w, 0.3), w)
+        assert repr(got.argument) == repr(base.argument)
+        assert got.magnitude > 0.0
+    tiny = LinearField(*(1e-200 * c for c in v.coefficients()))
+    with pytest.raises(ValueError, match="underflows"):
+        correlate_linear(total_rotate(tiny, 0.3), tiny)
+    zero = LinearField(0.0, 0.0, 0.0, 0.0)
+    for u, w in ((zero, v), (v, zero), (zero, zero), (saddle(), source())):
+        cor = correlate_linear(u, w)
+        assert (cor.argument, cor.magnitude) == (0.0, 0.0)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -237,6 +239,30 @@ def test_disk_mask_zeroes_outside_cells():
     assert not s.mask[0, 0]
     assert np.all(s.values[~s.mask] == 0.0)
     assert s.mask[16, 16]
+
+
+def test_samples_share_one_read_only_mask_per_grid():
+    # One mask per (domain, n) while a sample holds it, so comparing two
+    # samples on one grid reads no cells; equal masks that are distinct
+    # arrays compare as before, and the map keeps no mask alive.
+    disk = SymmetricDomain.disk(2.0)
+    a, b = sample(saddle(disk), 32), sample(double_winding(), 32, disk)
+    assert a.mask is b.mask
+    assert not a.mask.flags.writeable
+    with pytest.raises(ValueError):
+        a.mask[0, 0] = True
+    assert sample(saddle(disk), 16).mask is not a.mask
+    assert sample(saddle(SymmetricDomain.square(2.0)), 32).mask is not a.mask
+    assert a.compatible_with(b)
+    assert a.compatible_with(SampledField(32, disk, b.values, b.mask.copy()))
+    other = a.mask.copy()
+    other[16, 16] = False
+    assert not a.compatible_with(SampledField(32, disk, b.values, other))
+    ref = weakref.ref(a.mask)
+    del a, b
+    gc.collect()
+    assert ref() is None
+    assert not sample(saddle(disk), 32).mask.flags.writeable
 
 
 def test_samples_csv_layout(tmp_path):

@@ -5,6 +5,7 @@ import pickle
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +42,7 @@ from rotalign import (
 )
 from rotalign import TraceEntry, registration
 from rotalign.correlation import correlate_sampled, second_moment
-from rotalign.fields import _coordinates
+from rotalign.fields import _centers, _coordinates, _grid_values
 from rotalign.registration import (
     _detect_by_resampling,
     _linear_fitter,
@@ -835,7 +836,8 @@ def test_scaled_equals_ldexp():
 def test_detect_sampled_projection_makes_no_full_size_temporaries(domain, monkeypatch):
     # The projection scales, fits and tests the samples in row blocks, so
     # one call's traced peak, the corrected copy it returns included, stays
-    # within 1.5 values-sized arrays.
+    # within 1.5 values-sized arrays.  The copy is laid out when first
+    # read, so it is read inside the window.
     loops = _count_loop_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
     sv, su = sample(v, 256), sample(total_rotate(v, 0.7), 256)
@@ -843,12 +845,179 @@ def test_detect_sampled_projection_makes_no_full_size_temporaries(domain, monkey
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = detect_sampled(sv, su, DetectorConfig(eps=1e-6))
+        result.corrected
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert loops == []
     assert result.converged()
     assert peak <= 1.5 * sv.values.nbytes
+
+
+def _traced_peak(call) -> tuple:
+    """(call(), the bytes its traced peak lies above what was traced before it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_detect_sampled_lays_out_the_copy_when_it_is_read():
+    # The call's traced peak (the fit's blocks and mask sums) stays well
+    # below a values-sized array; the first read lays the copy out, as
+    # many bytes as the samples, and keeps it.
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    sv, su = sample(v, 256), sample(total_rotate(v, 0.7), 256)
+    result, call_peak = _traced_peak(lambda: detect_sampled(sv, su, DetectorConfig(eps=1e-6)))
+    assert type(vars(result)["_corrected"]) is registration._Deferred
+    copy, read_peak = _traced_peak(lambda: result.corrected)
+    assert call_peak <= 0.75 * sv.values.nbytes
+    assert sv.values.nbytes <= read_peak <= 1.5 * sv.values.nbytes
+    assert result.corrected is copy
+    assert type(vars(result)["_corrected"]) is SampledField
+
+
+def _eager_copies(monkeypatch):
+    """Make every corrected copy be built during the call."""
+    monkeypatch.setattr(registration, "_when_read", lambda eager, build, *args: build(*args))
+
+
+# Pattern scales: 2**+-1000, and entries peaking at the top exponents,
+# where the copy is built during the call.
+COPY_SCALES = [2.0 ** -1000, 2.0 ** 1000] + [math.ldexp(0.75, e) for e in (1020, 1021, 1022, 1023)]
+
+
+def test_deferred_copies_equal_the_eager_build(monkeypatch):
+    # detect and both detect_sampled routes: read later, the copy has the
+    # bytes it has when built during the call.  detect and the projection
+    # defer it exactly when the pattern's exponent is below the top four,
+    # where a copy cannot overflow; the resample route never does.
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    u = total_rotate(v, 0.7)
+    cfg = DetectorConfig(eps=1e-6)
+    size = max(map(abs, u.coefficients()))
+    kinds = set()
+    for k in COPY_SCALES:
+        pattern = scaled(u, k / size)
+        exp = math.frexp(max(map(abs, _coordinates(*pattern.coefficients()))))[1]
+        cases = [(lambda p=pattern: detect(v, p, cfg), exp < sys.float_info.max_exp - 3)]
+        for bend in (0.0, 1e-6):
+            su = _bent(sample(pattern, 32), bend * k / size)
+            exp = math.frexp(np.abs(su.values).max())[1]
+            cases.append((lambda su=su: detect_sampled(sample(v, 32), su, cfg),
+                          not bend and exp < sys.float_info.max_exp - 3))
+        for call, defers in cases:
+            r = call()
+            assert (type(vars(r)["_corrected"]) is registration._Deferred) == defers
+            kinds.add((type(r.corrected), defers))
+            with monkeypatch.context() as m:
+                _eager_copies(m)
+                now = call().corrected
+            if isinstance(now, LinearField):
+                assert repr(r.corrected) == repr(now)
+            else:
+                assert r.corrected.values.tobytes() == now.values.tobytes()
+                assert r.corrected.mask is now.mask
+    assert kinds == {(LinearField, True), (LinearField, False),
+                     (SampledField, True), (SampledField, False)}
+
+
+def test_detect_sampled_copy_matches_its_grid_reference(monkeypatch):
+    # The projection's copy is detect's corrected field on the grid, scaled
+    # back by np.ldexp to the pattern's peak exponent.
+    inner = []
+
+    def spy(*args, inner_detect=registration.detect):
+        inner.append(inner_detect(*args))
+        return inner[-1]
+
+    monkeypatch.setattr(registration, "detect", spy)
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), UNIT_DISK)
+    for k in COPY_SCALES:
+        su = sample(total_rotate(scaled(v, k), 0.7), 64)
+        r = detect_sampled(sample(v, 64), su, DetectorConfig(eps=1e-6))
+        x = _centers(UNIT_DISK, 64)
+        want = np.ldexp(_grid_values(inner[-1].corrected, x, x, su.mask),
+                        math.frexp(np.abs(su.values).max())[1])
+        assert r.corrected.values.tobytes() == want.tobytes()
+
+
+def _column(component: int, peak: float, n: int = 64) -> SampledField:
+    """peak in one component on the one-column mask at x1 = h/2, zero elsewhere."""
+    mask = np.zeros((n, n), bool)
+    mask[:, n // 2] = True
+    values = np.zeros((n, n, 2))
+    values[:, n // 2, component] = peak
+    return SampledField(n, SymmetricDomain.square(1.0), values, mask)
+
+
+def test_detect_sampled_refuses_during_the_call_a_copy_that_outgrows_its_samples():
+    # On a one-column mask the projection's copy peaks 63 times above its
+    # samples.  At a peak of 1.5 * 2**1018, below the top exponents, it
+    # overflows, and is refused during the call, not when it is read.
+    cfg = DetectorConfig(eps=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pattern samples .* too large"):
+            detect_sampled(_column(0, 1.0), _column(1, 1.5 * 2.0 ** 1018), cfg)
+        at_edge = detect_sampled(_column(0, 1.0), _column(1, 2.0 ** 1018), cfg)
+        assert np.abs(at_edge.corrected.values).max() == 63.0 * 2.0 ** 1018
+        below = detect_sampled(_column(0, 1.0), _column(1, 2.0 ** 1016), cfg)
+    assert type(vars(below)["_corrected"]) is registration._Deferred
+    assert np.abs(below.corrected.values).max() == 63.0 * 2.0 ** 1016
+
+
+def test_detect_sampled_results_hold_no_sample_values():
+    # Both routes: once the samples are dropped, their values are freed,
+    # and the copy is still there to read.
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    for bend in (0.0, 1e-6):
+        sv, su = sample(v, 32), _bent(sample(total_rotate(v, 0.4), 32), bend)
+        refs = [weakref.ref(sv.values), weakref.ref(su.values)]
+        result = detect_sampled(sv, su, DetectorConfig(eps=1e-6, max_iter=6))
+        want = detect_sampled(sv, su, DetectorConfig(eps=1e-6, max_iter=6)).corrected.values
+        del sv, su
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert result.corrected.values.tobytes() == want.tobytes()
+
+
+def test_detect_sampled_results_pickle_and_replace_before_the_copy_is_read():
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    sv, su = sample(v, 32), sample(total_rotate(v, 0.4), 32)
+    cfg = DetectorConfig(eps=1e-6)
+    result = detect_sampled(sv, su, cfg)
+    back = pickle.loads(pickle.dumps(result))
+    assert type(vars(back)["_corrected"]) is registration._Deferred
+    want = detect_sampled(sv, su, cfg).corrected
+    assert back.corrected.values.tobytes() == want.values.tobytes()
+    assert (back.alpha, back.iterations, back.status, back.trace) == (
+        result.alpha, result.iterations, result.status, result.trace)
+    moved = replace(result, corrected=sv)
+    assert moved.corrected is sv and moved.trace == result.trace
+    assert type(vars(result)["_corrected"]) is registration._Deferred
+
+
+def test_library_built_samples_skip_the_finite_check(monkeypatch):
+    # Both routes: the copies the detector builds from finite samples are
+    # not checked again; samples handed in still are.
+    checks = []
+    check = SampledField.__post_init__
+    monkeypatch.setattr(SampledField, "__post_init__",
+                        lambda self: checks.append(self) or check(self))
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    sv, su = sample(v, 32), _bent(sample(total_rotate(v, 0.4), 32), 1e-6)
+    for pattern in (sample(total_rotate(v, 0.4), 32), su):
+        checks.clear()
+        result = detect_sampled(sv, pattern, DetectorConfig(eps=1e-6, max_iter=6))
+        result.corrected
+        assert checks == []
+    assert len(checks) == 0
+    SampledField(sv.n, sv.domain, sv.values, sv.mask)
+    assert len(checks) == 1
 
 LINEAR_ROUTE_CASES = [
     # (v, offset, cfg): generic, aligned (perturb), pure saddle (halve),
