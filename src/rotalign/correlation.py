@@ -31,6 +31,7 @@ from .fields import (
     DomainMismatchError,
     LinearField,
     SampledField,
+    _unit_scaled,
     decompose,
     eval_field,
     second_moment,
@@ -101,7 +102,8 @@ def correlate_linear(u: LinearField, v: LinearField) -> CorrelationValue:
     half_moment = 0.5 * second_moment(u.domain)
     cor = CorrelationValue.from_multivector(
         Multivector2.spinor(*_sums(half_moment, u.coefficients(), v.coefficients())))
-    scalar, bivector = _sums(half_moment, _unit_scaled(u), _unit_scaled(v))
+    scalar, bivector = _sums(half_moment, _unit_scaled(*u.coefficients())[:4],
+                             _unit_scaled(*v.coefficients())[:4])
     if cor.magnitude < sys.float_info.min and (scalar or bivector):
         raise ValueError("the correlation of these fields underflows to "
                          f"{cor.magnitude!r}, so its argument is lost")
@@ -114,13 +116,6 @@ def _sums(half_moment: float, u: tuple, v: tuple) -> tuple:
     v11, v12, v21, v22 = v
     return (half_moment * (u11 * v11 + u12 * v12 + u21 * v21 + u22 * v22),
             half_moment * (u11 * v21 - u21 * v11 + u12 * v22 - u22 * v12))
-
-
-def _unit_scaled(field: LinearField) -> tuple:
-    """The field's entries times 2**-e, the largest in [0.5, 1) (all zero for the zero field)."""
-    entries = field.coefficients()
-    _, e = math.frexp(max(map(abs, entries)))
-    return tuple(math.ldexp(x, -e) for x in entries)
 
 
 def correlate_sampled(u: SampledField, v: SampledField) -> CorrelationValue:

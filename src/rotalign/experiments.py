@@ -340,7 +340,7 @@ def _mapped(fn, *arrays) -> np.ndarray:
 
 
 def _unit_scaled(coords) -> tuple:
-    """``registration._unit_scaled`` on coordinate arrays (without the exponent)."""
+    """``fields._unit_scaled`` on coordinate arrays (without the exponent)."""
     peak = np.maximum(np.maximum(np.abs(coords[0]), np.abs(coords[1])),
                       np.maximum(np.abs(coords[2]), np.abs(coords[3])))
     shift = -np.frexp(peak)[1]

@@ -253,6 +253,19 @@ def _entries(a, b, c, d) -> tuple:
     return a + c, b + d, b - d, -a + c
 
 
+def _unit_scaled(a: float, b: float, c: float, d: float) -> tuple:
+    """(a, b, c, d, e): the four numbers times 2**-e, the largest in [0.5, 1).
+
+    A power-of-two scale is exact, so angles read from the scaled
+    coordinates or entries of a field are those of the raw ones, while
+    their products stay in range however large or small the field is as
+    a whole.
+    """
+    _, e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))
+    ldexp = math.ldexp
+    return ldexp(a, -e), ldexp(b, -e), ldexp(c, -e), ldexp(d, -e), e
+
+
 def total_rotate(field: LinearField, alpha: float) -> LinearField:
     """Rotate positions and vectors together: u(x) = R(alpha) v(R(-alpha) x).
 

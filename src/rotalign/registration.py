@@ -86,6 +86,7 @@ from .fields import (
     _coordinates,
     _entries,
     _grid_values,
+    _unit_scaled,
     decompose,
     recompose,
     total_rotate,
@@ -266,18 +267,6 @@ def _special_case(iteration: int, phi: float, alpha_acc: float, kicked: bool) ->
         # Kicked pure saddle answered with exactly -pi/2: quarter-turn family.
         return _QUARTER_PI, _HALF_PI, True, "lock"
     return phi, alpha_acc, kicked, None
-
-
-def _unit_scaled(a: float, b: float, c: float, d: float) -> tuple:
-    """(a, b, c, d, e): the coordinates times 2**-e, the largest in [0.5, 1).
-
-    A power-of-two scale is exact, so the loop reads the same angles as
-    on the raw coordinates, while its products stay in range however
-    large or small the field is as a whole.
-    """
-    _, e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))
-    ldexp = math.ldexp
-    return ldexp(a, -e), ldexp(b, -e), ldexp(c, -e), ldexp(d, -e), e
 
 
 def _uncorrelated(v: tuple, u: tuple):
