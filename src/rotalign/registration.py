@@ -667,8 +667,9 @@ def detect_sampled(v: SampledField, u: SampledField,
             return result
         linear = result.corrected
         # Every value a11*x1 + a12*x2 or a21*x1 + a22*x2 of the scaled
-        # copy lies below reach, as |x1|, |x2| < L.  Scaled back, one
-        # below 2**(_MAX_EXP - 1), a binade short of overflow, can wait.
+        # copy is at most reach, as |x1|, |x2| < L.  Where reach * 2**u_exp
+        # stays below 2**(_MAX_EXP - 1), a binade short of overflow, and
+        # u_exp below the top four exponents, the copy waits to be read.
         reach = (max(abs(linear.a11) + abs(linear.a12), abs(linear.a21) + abs(linear.a22))
                  * u.domain.bounding_half_side)
         eager = u_exp >= _MAX_EXP - 3 or math.frexp(reach)[1] + u_exp >= _MAX_EXP
