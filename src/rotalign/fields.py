@@ -305,7 +305,7 @@ def inner_rotate(field: LinearField, alpha: float) -> LinearField:
                                          *field.coefficients()), field.domain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledField:
     """Cell-center samples of a field over its domain's bounding square.
 
@@ -313,7 +313,8 @@ class SampledField:
     row-major flattening therefore walks x1 fastest.  Cells whose center
     falls outside the domain are masked out and hold the zero vector.
     values must be an (n, n, 2) array of finite values and mask an
-    (n, n) bool array.
+    (n, n) bool array.  Two samples are equal when they share n, domain
+    and mask and hold equal values; they hold arrays, so do not hash.
     """
 
     n: int
@@ -353,6 +354,13 @@ class SampledField:
     def compatible_with(self, other: "SampledField") -> bool:
         return (self.n == other.n and self.domain == other.domain
                 and (self.mask is other.mask or bool(np.array_equal(self.mask, other.mask))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SampledField):
+            return NotImplemented
+        return self.compatible_with(other) and bool(np.array_equal(self.values, other.values))
+
+    __hash__ = None
 
 
 FieldLike = Union[LinearField, Callable]

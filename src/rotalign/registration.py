@@ -59,6 +59,10 @@ turned saddle pair, the pattern's exponent, its invariant pair, the
 grid) and build it when it is first read.  Whether it overflows is
 settled during the call: where a bound on its entries cannot rule
 that out, the same builder runs at once.
+
+``oracle_detect`` and ``detect_known_pattern`` need no loop: the turn
+of one linear field nearest another is half the angle between their
+saddle pairs.
 """
 
 from __future__ import annotations
@@ -74,9 +78,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .correlation import correlate_linear, correlate_sampled, second_moment
+from .correlation import correlate_sampled, second_moment
 from .fields import (
-    Decomposition,
     DomainMismatchError,
     LinearField,
     SampledField,
@@ -87,11 +90,12 @@ from .fields import (
     _entries,
     _grid_values,
     _unit_scaled,
-    decompose,
-    recompose,
-    total_rotate,
 )
 from .multivector import wrap_angle
+
+# Unused here, but bound because benchmarks/tracing.py patches them in this module.
+from .correlation import correlate_linear
+from .fields import decompose, recompose, total_rotate
 
 __all__ = [
     "DetectionStatus",
@@ -206,7 +210,9 @@ class DetectionResult:
     is built on its first read and kept; where it could overflow it is
     built during the call instead, by the same builder.  Comparing,
     hashing, ``repr`` and ``replace`` without ``corrected=`` read it, as
-    they read every field; pickling keeps the recipe.
+    they read every field; pickling keeps the recipe.  A ``SampledField``
+    compares by value and does not hash, so ``detect_sampled``'s results
+    compare but raise ``TypeError`` when hashed.
     """
 
     alpha: float
@@ -729,76 +735,65 @@ def _detect_by_resampling(v: SampledField, u: SampledField,
     return _result(applied, iteration, readings, capped, current)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ORACLE_GRID = 20001
+# Scaled, entries are below 1, so a conjugated one is below 2 and off by
+# under 2**-48, and a squared distance is below 36 and off by under 2**-43.
+_ORACLE_SLACK = 2.0 ** -42  # for the two distances compared
+
+
+def _half_saddle_angle(v: LinearField, u: LinearField) -> float:
+    """The turn of v nearest to u in Frobenius norm, in (-pi/2, pi/2].
+
+    A total rotation by t turns the saddle pair (a, b) by 2*t and fixes
+    (c, d), so the nearest turn is half the angle from v's saddle pair
+    to u's (the 2D Procrustes solution), read by ``atan2`` without
+    products or scaling, so at any scale.  When either pair is zero
+    every turn is as near: ``DegenerateZeroFieldError``.
+    """
+    av, bv, _, _ = _coordinates(v.a11, v.a12, v.a21, v.a22)
+    au, bu, _, _ = _coordinates(u.a11, u.a12, u.a21, u.a22)
+    if (av == 0.0 and bv == 0.0) or (au == 0.0 and bu == 0.0):
+        raise DegenerateZeroFieldError("a field without a saddle part is as near at every turn")
+    return 0.5 * wrap_angle(math.atan2(bu, au) - math.atan2(bv, av))
 
 
 def oracle_detect(v: LinearField, u: LinearField) -> float:
-    """Brute-force ground truth for the offset, independent of correlation.
+    """Ground truth for the offset, independent of correlation.
 
-    Scans a uniform grid of candidate angles on (-pi/2, pi/2], scoring
-    each by the Frobenius distance between v and the candidate's
-    back-rotated copy of u (built by matrix conjugation), then refines
-    the best cell with golden-section search down to 1e-10.  Both fields
-    are first scaled by one power of two, which is exact and keeps the
-    squared distances in range, so the answer is the same at any scale.
-    It raises the errors ``detect`` raises for zero fields and mismatched
-    domains; non-finite fields are refused when they are built.
+    The answer is the turn t in (-pi/2, pi/2] that brings the copy
+    R(-t) U R(-t)^T of u nearest to v, in closed form.  A uniform scan
+    of candidate angles on (-pi/2, pi/2] certifies it: the candidates
+    and the answer are scored by the Frobenius distance, built by matrix
+    conjugation on both fields scaled by one power of two (exact, and it
+    keeps the squares in range), and an answer worse than the best
+    candidate beyond rounding raises ``RuntimeError``.  It refuses
+    mismatched domains as ``detect`` does, and any field without a
+    saddle part, the zero field included (``DegenerateZeroFieldError``).
     """
-    if v.is_zero() or u.is_zero():
-        raise DegenerateZeroFieldError("the oracle needs two nonzero fields")
     if u.domain != v.domain:
         raise DomainMismatchError("oracle_detect needs both fields on the same domain")
+    answer = _half_saddle_angle(v, u)
     _, e = math.frexp(max(map(abs, v.coefficients() + u.coefficients())))
     v_mat = np.ldexp(v.matrix(), -e)
-    u = LinearField(*(math.ldexp(x, -e) for x in u.coefficients()), u.domain)
-    a11, a12, a21, a22 = u.coefficients()
+    a11, a12, a21, a22 = (math.ldexp(x, -e) for x in u.coefficients())
 
     step = math.pi / _ORACLE_GRID
-    thetas = -0.5 * math.pi + step * np.arange(1, _ORACLE_GRID + 1)
+    thetas = np.append(-0.5 * math.pi + step * np.arange(1, _ORACLE_GRID + 1), answer)
     # A' = R(-theta) A R(-theta)^T
     b11, b12, b21, b22 = _conjugate(np.cos(thetas), -np.sin(thetas), a11, a12, a21, a22)
     dist_sq = ((b11 - v_mat[0, 0]) ** 2 + (b12 - v_mat[0, 1]) ** 2
                + (b21 - v_mat[1, 0]) ** 2 + (b22 - v_mat[1, 1]) ** 2)
-    best = int(np.argmin(dist_sq))
-
-    def dist(theta: float) -> float:
-        m = total_rotate(u, -theta).matrix() - v_mat
-        return float(np.sum(m * m))
-
-    lo = thetas[best] - step
-    hi = thetas[best] + step
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = dist(x1)
-    f2 = dist(x2)
-    while hi - lo > 1e-10:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = dist(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = dist(x2)
-    return 0.5 * (lo + hi)
+    if dist_sq[-1] > dist_sq[:-1].min() + _ORACLE_SLACK:
+        raise RuntimeError(f"the offset {answer!r} scores worse than the oracle's scan")
+    return answer
 
 
 def detect_known_pattern(pattern_saddle: LinearField, field: LinearField) -> float:
     """One-shot offset recovery when the pattern's saddle part is known.
 
-    Correlating the rotated field against the pattern's saddle part
-    alone yields exp(-2*alpha*e12) times a positive norm (the invariant
-    part of the field drops out over the symmetric domain), so the
-    offset is minus half the correlation argument.  As in ``rotalign
-    correlate``, a correlation that is zero has no argument
-    (``DegenerateZeroFieldError``), and one that overflows or underflows
-    is refused by ``correlate_linear`` (``ValueError``).
+    Half the angle from the pattern's saddle pair to the field's, as
+    ``oracle_detect`` answers; invariant parts do not enter.
     """
-    dec = decompose(pattern_saddle)
-    saddle_only = recompose(Decomposition(dec.a, dec.b, 0.0, 0.0),
-                            pattern_saddle.domain)
-    cor = correlate_linear(field, saddle_only)
-    if cor.magnitude < sys.float_info.min:
-        raise DegenerateZeroFieldError("known-pattern detection needs nonzero saddle parts")
-    return -0.5 * math.atan2(cor.value.b, cor.value.s)
+    if field.domain != pattern_saddle.domain:
+        raise DomainMismatchError("detect_known_pattern needs both fields on the same domain")
+    return _half_saddle_angle(pattern_saddle, field)

@@ -265,6 +265,18 @@ def test_samples_share_one_read_only_mask_per_grid():
     assert not sample(saddle(disk), 32).mask.flags.writeable
 
 
+def test_samples_compare_by_value_and_do_not_hash():
+    disk = SymmetricDomain.disk(2.0)
+    a = sample(saddle(disk), 16)
+    assert a == sample(saddle(disk), 16)
+    assert a == SampledField(16, disk, a.values.copy(), a.mask.copy())
+    assert a != sample(saddle(disk), 8)
+    assert a != sample(source(disk), 16)
+    assert a != sample(saddle(SymmetricDomain.square(2.0)), 16)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_samples_csv_layout(tmp_path):
     path = tmp_path / "saddle.csv"
     s = sample(saddle(), 4)

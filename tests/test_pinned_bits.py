@@ -33,7 +33,7 @@ from rotalign.registration import oracle_detect
 
 PAIRS = 300
 
-NUMERIC_DIGEST = "e67aea794fbee89aa39917d2116e666853ddf23da71d61c26c1675f7a0fe8011"
+NUMERIC_DIGEST = "720d6f3bda98404f1281a8163bec24c4e8c0543a63d75f778565073f72b9c8bc"
 CLI_DIGEST = "5b5226ce09ff1132ce8c9dfee42970d00177ad2194b9f5b8a4eac486e4f2eb8e"
 
 

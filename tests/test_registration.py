@@ -298,7 +298,7 @@ def test_quarter_turn_trap_pair_is_a_quarter_turn_offset():
     assert angle_distance_mod_pi(oracle_detect(v, u), math.pi / 2 + 1e-7) <= 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: with n2 > n1, an offset within about "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: with n2 > n1, an offset within about "
                    "eps (n2 - n1) / (2 n1) of a quarter turn starts detect at the unstable "
                    "fixed point phi = 0, and it returns converged at alpha near 0")
 def test_detect_escapes_the_quarter_turn_trap():
@@ -429,6 +429,83 @@ def test_oracle_refuses_what_detect_refuses():
         oracle_detect(v, LinearField(*v.coefficients(), UNIT_DISK))
 
 
+def _frobenius_scan(v: LinearField, u: LinearField, thetas) -> np.ndarray:
+    """|total_rotate(u, -theta) - v|^2 per theta, both scaled by one power of two."""
+    _, e = math.frexp(max(map(abs, v.coefficients() + u.coefficients())))
+    v, u = (LinearField(*(math.ldexp(x, -e) for x in f.coefficients()), f.domain)
+            for f in (v, u))
+    turned = np.array([total_rotate(u, -theta).matrix() for theta in thetas])
+    return ((turned - v.matrix()) ** 2).sum(axis=(1, 2))
+
+
+def _oracle_pairs():
+    """(v, u): rotated copies and unrelated pairs over scales, domains and energy ratios."""
+    rng = np.random.default_rng(1802)
+
+    def ratio_field(ratio, scale, domain):
+        # Saddle/invariant energy ratio 1e-9: the saddle pair rides on the
+        # invariant one.  1e-300 needs disjoint entries: a with d, or b with c.
+        c, d = scale * rng.uniform(-1.0, 1.0, 2)
+        if ratio == 1e-9:
+            turn = rng.uniform(-math.pi, math.pi)
+            size = math.sqrt(ratio) * math.hypot(c, d)
+            return recompose(Decomposition(size * math.cos(turn), size * math.sin(turn), c, d),
+                             domain)
+        if rng.random() < 0.5:
+            return recompose(Decomposition(1e-150 * d, 0.0, 0.0, d), domain)
+        return recompose(Decomposition(0.0, 1e-150 * c, c, 0.0), domain)
+
+    for domain in (SymmetricDomain.square(0.75), SymmetricDomain.disk(2.5)):
+        for scale in (1.0, 1e300, 1e-300):
+            for _ in range(3):
+                v, w = (LinearField(*(scale * rng.uniform(-1.0, 1.0, 4)), domain)
+                        for _ in range(2))
+                yield v, total_rotate(v, rng.uniform(-math.pi, math.pi))
+                yield v, w
+                v, w = (ratio_field(1e-9, scale, domain) for _ in range(2))
+                yield v, total_rotate(v, rng.uniform(-math.pi, math.pi))
+                yield v, w
+                if scale != 1e-300:  # a 1e-150 part of it would underflow
+                    v, w = (ratio_field(1e-300, scale, domain) for _ in range(2))
+                    a, b, c, d = _coordinates(*v.coefficients())
+                    yield v, recompose(Decomposition(-a, -b, c, d), domain)  # a quarter turn
+                    yield v, w
+
+
+def test_oracle_scores_no_worse_than_a_dense_scan():
+    # The scan is built here from total_rotate and matrices, not from the oracle's kernel.
+    thetas = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 1001)
+    pairs = 0
+    for v, u in _oracle_pairs():
+        answer = oracle_detect(v, u)
+        assert -0.5 * math.pi < answer <= 0.5 * math.pi
+        scores = _frobenius_scan(v, u, [answer, *thetas])
+        assert scores[0] <= scores[1:].min() + 1e-12
+        pairs += 1
+    assert pairs == 96
+
+
+def test_oracle_reads_a_saddle_pair_1e150_below_the_invariant_pair():
+    # Energy ratio 1e-300: turning the field by a quarter turn negates the saddle pair.
+    for scale in (1.0, 1e300):
+        v = recompose(Decomposition(1e-150 * scale, 0.0, 0.0, 0.7 * scale))
+        u = recompose(Decomposition(-1e-150 * scale, 0.0, 0.0, 0.7 * scale))
+        assert oracle_detect(v, u) == 0.5 * math.pi
+        assert oracle_detect(v, v) == 0.0
+
+
+@pytest.mark.parametrize("flat", [source(), vortex(), recompose(Decomposition(0.0, 0.0, 0.6, -0.8)),
+                                  LinearField(0.0, 0.0, 0.0, 0.0)],
+                         ids=["source", "vortex", "source-vortex", "zero"])
+def test_closed_forms_refuse_a_field_without_a_saddle_part(flat):
+    # Every turn of such a field, or of another towards it, is as near.
+    v = LinearField(0.4, -0.2, 0.9, 0.3)
+    for pair in ((flat, v), (v, flat)):
+        for closed_form in (oracle_detect, detect_known_pattern):
+            with pytest.raises(DegenerateZeroFieldError):
+                closed_form(*pair)
+
+
 # ------------------------------------------------- known-pattern shortcut
 
 def test_known_pattern_one_shot():
@@ -466,11 +543,11 @@ def test_known_pattern_refuses_non_finite_coefficients(bad):
         detect_known_pattern(LinearField(0.3, bad, 0.0, 1.0), saddle())
 
 
-def test_known_pattern_refuses_an_overflowing_correlation():
-    # The products of two 1e200-scale fields overflow; unchecked, the answer reads pi/8.
-    pattern = recompose(Decomposition(1e200, 0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        detect_known_pattern(pattern, total_rotate(pattern, 0.3))
+def test_known_pattern_answers_at_any_scale():
+    # The products of a correlation overflow or underflow here; the angles do not.
+    for k in (1e200, 1e-200, 1e300):
+        pattern = recompose(Decomposition(k, 0.0, 0.0, 0.0))
+        assert abs(detect_known_pattern(pattern, total_rotate(pattern, 0.3)) - 0.3) <= 1e-12
 
 
 def test_known_pattern_needs_a_shared_domain():
@@ -1378,6 +1455,21 @@ def test_detection_results_compare_hash_replace_and_pickle_by_their_trace():
         back = pickle.loads(pickle.dumps(result))
         assert back == result and hash(back) == hash(result)
         assert repr(back.trace) == repr(result.trace)
+
+
+def test_detect_sampled_results_compare_by_value_and_do_not_hash():
+    # Both routes: linear samples (projection) and bent ones (resample loop).
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    sv, su = sample(v, 16), sample(total_rotate(v, 0.4), 16)
+    cfg = DetectorConfig(eps=1e-6)
+    other = detect_sampled(sv, sample(total_rotate(v, 0.5), 16), cfg)
+    for pattern in (su, _bent(su, 1e-3)):
+        result = detect_sampled(sv, pattern, cfg)
+        assert result == detect_sampled(sv, pattern, cfg)
+        assert result != other
+        with pytest.raises(TypeError):
+            hash(result)
+    assert hash(detect(v, total_rotate(v, 0.4), cfg)) == hash(detect(v, total_rotate(v, 0.4), cfg))
 
 
 def test_detect_sampled_trace_matches_an_eager_reference(monkeypatch):
