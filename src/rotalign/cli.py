@@ -256,9 +256,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("sample", help="write cell-center samples as CSV")
-    p.add_argument("--field", help="a11,a12,a21,a22")
-    p.add_argument("--field-file", help="path to a field JSON file")
-    p.add_argument("--domain", default="square:1.0")
+    _add_field_options(p, with_counterpart=False)
     p.add_argument("--preset", help="'counterexample': the double-winding disk flow")
     p.add_argument("--alpha", type=float, help="angle for the rotated copy")
     p.add_argument("--n", type=int, required=True)

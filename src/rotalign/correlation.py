@@ -72,10 +72,24 @@ class CorrelationValue:
 
 
 def field_norms(field: LinearField) -> tuple:
-    """Squared L2 norms (saddle part, invariant part) of the field over its domain."""
+    """Squared L2 norms (saddle part, invariant part) of the field over its domain.
+
+    Parts are scaled by a power of two and back, exactly.  A zero part gives
+    0.0; a nonzero part whose norm is not a normal float raises ``ValueError``.
+    """
     dec = decompose(field)
     moment = second_moment(field.domain)
-    return dec.saddle_energy() * moment, dec.invariant_energy() * moment
+    return _part_norm(dec.a, dec.b, moment), _part_norm(dec.c, dec.d, moment)
+
+
+def _part_norm(x: float, y: float, moment: float) -> float:
+    """moment * (x*x + y*y), from x and y scaled by 2**-e and scaled back by 2**(2e)."""
+    x, y, _, _, e = _unit_scaled(x, y, 0.0, 0.0)
+    norm = (x * x + y * y) * moment
+    exp = math.frexp(norm)[1] + 2 * e
+    if norm and not sys.float_info.min_exp <= exp <= sys.float_info.max_exp:
+        raise ValueError(f"a squared norm of the field, about 2**{exp}, is not a normal float")
+    return math.ldexp(norm, 2 * e)
 
 
 def correlate_linear(u: LinearField, v: LinearField) -> CorrelationValue:

@@ -13,16 +13,9 @@ gets its own stream seeded by (campaign seed, trial index), so a
 trial's draw depends on nothing but its index and reports are
 bit-reproducible for a fixed seed.  ``run_trial`` plays one trial on a
 generator it is given; ``run_campaign`` computes the same streams for
-all indices at once and runs every trial as arrays, bit for bit what
-``run_trial`` gives on ``default_rng([seed, index])``.
-
-The array loop knows only where the branch rule can act: at reading 1
-or 2, on a trial whose summed rotation is zero.  Such trials rerun from
-their start in ``detect``'s own loop, which holds the rule, and every
-pass only reads, turns and adds, over one stacked array.  The turns
-take numpy's ``cos`` and ``sin``, which call the C library's functions
-just as ``math`` does, but every reading goes through ``math.atan2``,
-because numpy's ``arctan2`` is its own and differs in the last bit.
+all indices at once and runs every trial as arrays, detecting with
+``registration._detect_all``, bit for bit what ``run_trial`` gives on
+``default_rng([seed, index])``.
 
 Detection accuracy degrades when the saddle and invariant energies of
 the drawn field differ by many orders of magnitude: the step size is
@@ -39,7 +32,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +41,6 @@ from .fields import (
     Decomposition,
     LinearField,
     _conjugate,
-    _coordinates,
     _entries,
     recompose,
     second_moment,
@@ -57,12 +48,11 @@ from .fields import (
 )
 from .multivector import wrap_angle
 from .registration import (
-    _ZERO_TOL,
     DegenerateZeroFieldError,
     DetectionStatus,
     DetectorConfig,
-    _iterate,
-    _uncorrelated,
+    _detect_all,
+    _mapped,
     detect,
 )
 
@@ -224,10 +214,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_LIMBS = [np.uint64(_PCG64_MULT >> (32 * k) & _MASK32) for k in range(4)]
 _NORMAL_MIN = 2.0 ** -1022
-# Running trials at which the array loop hands the rest to detect's loop.
-# 64 and 128 measured alike and 256 about 5% slower; at 128 every float
-# array of a pass holds over 1 KiB, which numpy frees rather than caches.
-_HANDOVER = 128
 
 
 def _words(value: int) -> list:
@@ -325,117 +311,6 @@ def _trial_draws(seed: int, n: int, bound: float) -> tuple:
     return math.pi - 2.0 * math.pi * draws[0], low + (bound - low) * np.array(draws[1:])
 
 
-def _mapped(fn, *arrays) -> np.ndarray:
-    """fn applied elementwise through Python floats.
-
-    It serves ``math.atan2`` and ``wrap_angle`` only.  numpy's own
-    ``arctan2`` differs from ``math.atan2`` in the last bit on about 3%
-    of inputs, and ``wrap_angle`` is Python code, so both go through
-    Python floats as in ``detect``.  numpy's float64 ``cos`` and ``sin``
-    call the C library's functions, as ``math`` does, so the array paths
-    call them directly (``test_numpy_cos_sin_match_math_bit_for_bit``).
-    """
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), dtype=float,
-                       count=len(arrays[0]))
-
-
-def _unit_scaled(coords) -> tuple:
-    """``fields._unit_scaled`` on coordinate arrays (without the exponent)."""
-    peak = np.maximum(np.maximum(np.abs(coords[0]), np.abs(coords[1])),
-                      np.maximum(np.abs(coords[2]), np.abs(coords[3])))
-    shift = -np.frexp(peak)[1]
-    return tuple(np.ldexp(x, shift) for x in coords)
-
-
-def _detect_all(field, copy, eps: float, max_iter: int) -> tuple:
-    """``detect(field_i, copy_i)`` for every trial i: (applied, iterations, capped).
-
-    ``applied`` is the loop's summed rotation, so alpha = wrap_angle(-applied).
-    Every trial runs detect's loop bit for bit.  The trials still
-    running share one iteration count, and their loop-invariant terms,
-    pattern coordinates and summed rotation sit in one stacked array
-    ``[av, bv, au, bu, cc, dd, cross, applied]``, so a stop drops them
-    with a single column selection.  Each pass reads every correlation
-    argument with ``math.atan2``, adds it and turns the pattern in place.
-
-    Until a branch acts, detect's accumulator equals the summed rotation
-    bit for bit, so the branch rule can act only where that sum is within
-    ``_ZERO_TOL`` of zero at reading 1 or 2.  Those trials rerun from
-    their start in ``registration._iterate``, which holds the rule.  The
-    counts are heavy-tailed (at eps 0.1 the median trial stops after 3
-    iterations and the p99 after 263), so the last ``_HANDOVER`` trials
-    finish there too, where a step costs less than a pass over a few
-    array elements.
-    """
-    av, bv, cv, dv = _unit_scaled(_coordinates(*field))
-    au, bu, cu, du = _unit_scaled(_coordinates(*copy))
-    moment = second_moment(UNIT_SQUARE)
-    n = len(av)
-    applied_out = np.zeros(n)
-    iterations = np.zeros(n, dtype=np.int64)
-    capped = np.zeros(n, dtype=bool)
-
-    # The running trials' indices, stacked state and last reading.  The
-    # state is turned in place, so the reruns read their start from a copy.
-    trial = np.arange(n)
-    start = np.stack([av, bv, au, bu, cu * cv, du * dv, cu * dv - du * cv])
-    state = np.concatenate([start, np.zeros((1, n))])
-    phi = np.full(n, math.pi)
-    rerun = []
-    handed = ()
-    # numpy keeps freed blocks under 1 KiB for reuse, per byte size, so a
-    # mask of every shrinking size would pile up; it gets one buffer.
-    mask = np.empty(n, dtype=bool)
-    iteration = 0
-    while True:
-        running = np.greater(np.abs(phi), eps, out=mask[:len(phi)])
-        kept = np.count_nonzero(running)
-        if kept < len(phi) or iteration == max_iter:
-            # Stopped trials keep what this writes; running ones are written again when they stop.
-            applied_out[trial] = state[7]
-            iterations[trial] = iteration
-        if not kept:
-            break
-        if iteration == max_iter:
-            capped[trial] = running
-            break
-        if kept <= _HANDOVER:
-            handed = compress(zip(trial.tolist(), zip(*state[:7].tolist()), state[7].tolist(),
-                                  repeat(iteration)), running.tolist())
-            break
-        if kept < len(phi):
-            trial = trial[running]
-            state = state[:, running]
-            phi = phi[running]
-
-        av, bv, au, bu, cc, dd, cross, applied = state
-        iteration += 1
-        cor_s = moment * (au * av + bu * bv + cc + dd)
-        cor_b = moment * ((au * bv - bu * av) - cross)
-        phi = _mapped(math.atan2, cor_b, cor_s)
-        applied += phi
-        if iteration <= 2:
-            near = np.flatnonzero(np.abs(applied) <= _ZERO_TOL)
-            if len(near):
-                rerun += trial[near].tolist()
-                phi[near] = 0.0
-        twice = 2.0 * phi
-        c2 = np.cos(twice)
-        s2 = np.sin(twice)
-        au_s2 = au * s2
-        bu_s2 = bu * s2
-        au *= c2
-        au -= bu_s2
-        bu *= c2
-        bu += au_s2
-
-    reruns = zip(rerun, zip(*start[:, rerun].tolist()), repeat(0.0), repeat(0))
-    for i, coords, applied, iteration in chain(handed, reruns):
-        _, _, applied_out[i], iterations[i], capped[i] = _iterate(
-            moment, *coords, eps, max_iter, applied, iteration)
-    return applied_out, iterations, capped
-
-
 def _outcomes(spec: TrialSpec) -> tuple:
     """(live, errors, iterations, capped) of every trial of the campaign.
 
@@ -448,14 +323,10 @@ def _outcomes(spec: TrialSpec) -> tuple:
                                  spec.coeff_bound)
     field = _entries(*coeffs) if spec.coefficient_space else tuple(coeffs)
     copy = _conjugate(np.cos(angle), np.sin(angle), *field)
-
-    # detect raises DegenerateZeroFieldError when no turn correlates the
-    # two fields, a zero field included, tested on the same scaled coordinates.
-    live = ~_uncorrelated(_unit_scaled(_coordinates(*field)), _unit_scaled(_coordinates(*copy)))
+    live, applied, iterations, capped = _detect_all(field, copy, second_moment(UNIT_SQUARE),
+                                                    spec.eps, spec.max_iter)
     field = tuple(x[live] for x in field)
     copy = tuple(x[live] for x in copy)
-    applied, iterations, capped = _detect_all(field, copy, spec.eps, spec.max_iter)
-
     back = -_mapped(wrap_angle, -applied)
     recovered = _conjugate(np.cos(back), np.sin(back), *copy)
     return live, _errors(np.subtract(recovered, field)), iterations, capped

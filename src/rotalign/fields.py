@@ -194,14 +194,6 @@ class Decomposition:
     c: float
     d: float
 
-    def saddle_energy(self) -> float:
-        """Squared coefficient length of the rotation-sensitive pair."""
-        return self.a * self.a + self.b * self.b
-
-    def invariant_energy(self) -> float:
-        """Squared coefficient length of the rotation-invariant pair."""
-        return self.c * self.c + self.d * self.d
-
 
 def saddle(domain: SymmetricDomain = UNIT_SQUARE) -> LinearField:
     return LinearField(1.0, 0.0, 0.0, -1.0, domain)

@@ -99,13 +99,13 @@ class Multivector2:
         return math.sqrt(self.s * self.s + self.x * self.x
                          + self.y * self.y + self.b * self.b)
 
-    def is_vector(self, rtol: float = VECTOR_PURITY_RTOL) -> bool:
+    def is_vector(self) -> bool:
         """True if the scalar and bivector parts are negligible."""
-        return max(abs(self.s), abs(self.b)) <= rtol * max(self.norm(), 1.0e-300)
+        return max(abs(self.s), abs(self.b)) <= VECTOR_PURITY_RTOL * max(self.norm(), 1.0e-300)
 
-    def is_spinor(self, rtol: float = VECTOR_PURITY_RTOL) -> bool:
+    def is_spinor(self) -> bool:
         """True if the vector part is negligible."""
-        return max(abs(self.x), abs(self.y)) <= rtol * max(self.norm(), 1.0e-300)
+        return max(abs(self.x), abs(self.y)) <= VECTOR_PURITY_RTOL * max(self.norm(), 1.0e-300)
 
     def isclose(self, other: "Multivector2", rel: float = 1e-12, abs_: float = 0.0) -> bool:
         scale = max(self.norm(), other.norm())

@@ -34,7 +34,9 @@ loop that only reads, turns and adds.  Both detectors record plain
 values: readings 1 and 2 as (phi, accumulator, branch), every later
 one as its phi.  ``DetectionResult.trace`` builds the entries from them
 when it is first read, summing the accumulator of the later readings
-left to right, so they equal entries recorded reading by reading.
+left to right, so they equal entries recorded reading by reading.  A
+campaign's trials run the loop as arrays in ``_detect_all``, which
+hands each trial that the rule can act on to ``_iterate``.
 
 Loop equality tests ("accumulator is zero", "phi is -pi/2") are taken
 up to ``_ZERO_TOL`` = 1e-9 because correlation arguments are floating
@@ -73,7 +75,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -360,6 +362,129 @@ def _iterate(moment: float, av: float, bv: float, au: float, bu: float,
     else:
         capped = True
     return au, bu, applied, iteration, capped
+
+
+# Running trials at which the array loop hands the rest to detect's loop.
+# 64 and 128 measured alike and 256 about 5% slower; at 128 every float
+# array of a pass holds over 1 KiB, which numpy frees rather than caches.
+_HANDOVER = 128
+
+
+def _mapped(fn, *arrays) -> np.ndarray:
+    """fn applied elementwise through Python floats.
+
+    It serves ``math.atan2`` and ``wrap_angle`` only.  numpy's own
+    ``arctan2`` differs from ``math.atan2`` in the last bit on about 3%
+    of inputs, and ``wrap_angle`` is Python code, so both go through
+    Python floats as in ``detect``.  numpy's float64 ``cos`` and ``sin``
+    call the C library's functions, as ``math`` does, so the array paths
+    call them directly (``test_numpy_cos_sin_match_math_bit_for_bit``).
+    """
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), dtype=float,
+                       count=len(arrays[0]))
+
+
+def _unit_scaled_arrays(coords) -> tuple:
+    """``fields._unit_scaled`` on coordinate arrays (without the exponent)."""
+    peak = np.maximum(np.maximum(np.abs(coords[0]), np.abs(coords[1])),
+                      np.maximum(np.abs(coords[2]), np.abs(coords[3])))
+    shift = -np.frexp(peak)[1]
+    return tuple(np.ldexp(x, shift) for x in coords)
+
+
+def _detect_all(field, copy, moment: float, eps: float, max_iter: int) -> tuple:
+    """``detect(field_i, copy_i)`` for every trial i: (live, applied, iterations, capped).
+
+    ``field`` and ``copy`` hold the entries (a11, a12, a21, a22), one
+    array each, on a domain of second moment ``moment``.  ``live`` marks
+    the trials ``detect`` does not refuse; the other arrays hold those,
+    in order, and ``applied`` is the loop's summed rotation, so alpha is
+    wrap_angle(-applied).  Every live trial runs detect's loop bit for
+    bit.  The running trials share one iteration count, and their
+    loop-invariant terms, pattern coordinates and summed rotation sit in
+    one stacked array ``[av, bv, au, bu, cc, dd, cross, applied]``, so a
+    stop drops them with a single column selection.  Each pass reads
+    every correlation argument with ``math.atan2``, adds it and turns the
+    pattern in place.
+
+    Until a branch acts, detect's accumulator equals the summed rotation
+    bit for bit, so the branch rule can act only where that sum is within
+    ``_ZERO_TOL`` of zero at reading 1 or 2.  Those trials rerun from
+    their start in ``_iterate``, which holds the rule.  The counts are
+    heavy-tailed (at eps 0.1 the median trial stops after 3 iterations
+    and the p99 after 263), so the last ``_HANDOVER`` trials finish
+    there too, where a step costs less than a pass over a few array
+    elements.
+    """
+    v = _unit_scaled_arrays(_coordinates(*field))
+    u = _unit_scaled_arrays(_coordinates(*copy))
+    live = ~_uncorrelated(v, u)
+    av, bv, cv, dv = (x[live] for x in v)
+    au, bu, cu, du = (x[live] for x in u)
+    n = len(av)
+    applied_out = np.zeros(n)
+    iterations = np.zeros(n, dtype=np.int64)
+    capped = np.zeros(n, dtype=bool)
+
+    # The running trials' indices, stacked state and last reading.  The
+    # state is turned in place, so the reruns read their start from a copy.
+    trial = np.arange(n)
+    start = np.stack([av, bv, au, bu, cu * cv, du * dv, cu * dv - du * cv])
+    state = np.concatenate([start, np.zeros((1, n))])
+    phi = np.full(n, math.pi)
+    rerun = []
+    handed = ()
+    # numpy keeps freed blocks under 1 KiB for reuse, per byte size, so a
+    # mask of every shrinking size would pile up; it gets one buffer.
+    mask = np.empty(n, dtype=bool)
+    iteration = 0
+    while True:
+        running = np.greater(np.abs(phi), eps, out=mask[:len(phi)])
+        kept = np.count_nonzero(running)
+        if kept < len(phi) or iteration == max_iter:
+            # Stopped trials keep what this writes; running ones are written again when they stop.
+            applied_out[trial] = state[7]
+            iterations[trial] = iteration
+        if not kept:
+            break
+        if iteration == max_iter:
+            capped[trial] = running
+            break
+        if kept <= _HANDOVER:
+            handed = compress(zip(trial.tolist(), zip(*state[:7].tolist()), state[7].tolist(),
+                                  repeat(iteration)), running.tolist())
+            break
+        if kept < len(phi):
+            trial = trial[running]
+            state = state[:, running]
+            phi = phi[running]
+
+        av, bv, au, bu, cc, dd, cross, applied = state
+        iteration += 1
+        cor_s = moment * (au * av + bu * bv + cc + dd)
+        cor_b = moment * ((au * bv - bu * av) - cross)
+        phi = _mapped(math.atan2, cor_b, cor_s)
+        applied += phi
+        if iteration <= 2:
+            near = np.flatnonzero(np.abs(applied) <= _ZERO_TOL)
+            if len(near):
+                rerun += trial[near].tolist()
+                phi[near] = 0.0
+        twice = 2.0 * phi
+        c2 = np.cos(twice)
+        s2 = np.sin(twice)
+        au_s2 = au * s2
+        bu_s2 = bu * s2
+        au *= c2
+        au -= bu_s2
+        bu *= c2
+        bu += au_s2
+
+    reruns = zip(rerun, zip(*start[:, rerun].tolist()), repeat(0.0), repeat(0))
+    for i, coords, applied, iteration in chain(handed, reruns):
+        _, _, applied_out[i], iterations[i], capped[i] = _iterate(
+            moment, *coords, eps, max_iter, applied, iteration)
+    return live, applied_out, iterations, capped
 
 
 def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from rotalign import (
     total_rotate,
     vortex,
 )
+from rotalign.fields import _coordinates
 
 
 def quadrature_second_moment(domain: SymmetricDomain, n: int) -> float:
@@ -89,6 +91,42 @@ def test_self_correlation_is_squared_norm():
     assert cor.value.b == 0.0
     assert math.isclose(cor.value.s, sum(field_norms(v)), rel_tol=1e-14)
     assert cor.argument == 0.0
+
+
+def test_field_norms_keep_their_bits_at_any_scale():
+    # Wherever the plain sums of squares are normal floats, the scaled
+    # reading gives them bit for bit, including a saddle part 1e-200 times
+    # the invariant part, which one scale shared by both parts would lose.
+    rng = np.random.default_rng(34)
+    fields = [LinearField(1e100, 1e-100, 1e-100, 1e100)]
+    for scale in (1.0, 1e-100, 1e100, 1e150, 1e-150):
+        for domain in (SymmetricDomain.square(1.0), UNIT_DISK, SymmetricDomain.square(0.01)):
+            fields += [LinearField(*(scale * rng.uniform(-1, 1, 4)), domain) for _ in range(50)]
+    for f in fields:
+        a, b, c, d = _coordinates(f.a11, f.a12, f.a21, f.a22)
+        moment = second_moment(f.domain)
+        plain = (a * a + b * b) * moment, (c * c + d * d) * moment
+        if all(sys.float_info.min <= x < math.inf for x in plain):
+            assert field_norms(f) == plain, f
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+def test_field_norms_refuse_norms_beyond_the_normal_range(scale):
+    for f in (saddle(), source(), vortex(), LinearField(0.3, -0.8, 0.5, 0.1)):
+        with pytest.raises(ValueError, match="normal float"):
+            field_norms(LinearField(*(scale * x for x in f.coefficients())))
+    # The part in range does not save the part beyond it.
+    with pytest.raises(ValueError, match="normal float"):
+        field_norms(LinearField(1.0, scale, scale, 1.0))
+
+
+def test_field_norms_of_a_pure_part_are_exactly_zero():
+    for scale in (1.0, 1e150, 1e-150):
+        n1, n2 = field_norms(LinearField(*(scale * x for x in saddle().coefficients())))
+        assert n1 > 0.0 and n2 == 0.0
+        n1, n2 = field_norms(LinearField(*(scale * x for x in vortex().coefficients())))
+        assert n1 == 0.0 and n2 > 0.0
+    assert field_norms(LinearField(0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0)
 
 
 def test_mixed_parts_integrate_to_zero():

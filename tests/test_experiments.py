@@ -7,6 +7,7 @@ import pytest
 
 from rotalign import (
     Decomposition,
+    DegenerateZeroFieldError,
     DetectionStatus,
     DetectorConfig,
     LinearField,
@@ -20,14 +21,14 @@ from rotalign import (
     total_rotate,
     wrap_angle,
 )
-from rotalign import experiments
+from rotalign import registration
 from rotalign.experiments import (
     _draw_field,
     _outcomes,
     _trial_draws,
     report_csv_header,
 )
-from rotalign.fields import _entries
+from rotalign.fields import UNIT_SQUARE, _entries, second_moment
 
 
 def test_campaign_is_deterministic():
@@ -302,7 +303,7 @@ def test_bulk_trials_match_run_trial(spec):
 @pytest.mark.parametrize("handover", [0, 1, 50, 10 ** 9])
 def test_bulk_trials_match_run_trial_at_any_handover(monkeypatch, handover):
     # 0 keeps every trial in the array loop, 10**9 runs each in detect's loop.
-    monkeypatch.setattr(experiments, "_HANDOVER", handover)
+    monkeypatch.setattr(registration, "_HANDOVER", handover)
     _assert_matches_run_trial(TrialSpec(trials=200, eps=1e-4, seed=14))
     _assert_matches_run_trial(TrialSpec(trials=100, eps=1e-3, seed=15, max_iter=4))
 
@@ -311,7 +312,7 @@ def test_bulk_trials_match_run_trial_at_any_handover(monkeypatch, handover):
 def test_bulk_trials_match_run_trial_at_the_handover(extra):
     # Exactly _HANDOVER trials hand over before the first pass; one more
     # runs the array loop first.
-    trials = experiments._HANDOVER + extra
+    trials = registration._HANDOVER + extra
     _assert_matches_run_trial(TrialSpec(trials=trials, eps=1e-3, seed=16))
 
 
@@ -321,7 +322,10 @@ def _branch_pairs() -> tuple:
     Random draws never reach the branch rule, so these pairs do:
     aligned pairs (perturb), pure saddles at 0.3 and at a quarter turn
     (halve), aligned pure saddles (perturb, then lock), pure invariant
-    fields (perturb) and generic pairs (no branch).
+    fields (perturb) and generic pairs (no branch).  Among them, every
+    sixth place holds a pair that detect refuses: a zero field on either
+    side, a pure saddle against a pure source, or a pure vortex against
+    a pure saddle45, 10 of each.
     """
     rng = np.random.default_rng(2024)
     count = 40
@@ -341,7 +345,18 @@ def _branch_pairs() -> tuple:
     copy = tuple(np.array(x) for x in zip(*(
         total_rotate(LinearField(*entries), t).coefficients()
         for entries, t in zip(zip(*(x.tolist() for x in field)), angle.tolist()))))
-    return field, copy
+    a, b, c, d, zero = (x[:10] for x in (a, b, c, d, zero))
+    refused = [
+        ((zero, zero, zero, zero), (a, b, c, d)),         # zero field
+        ((a, b, c, d), (zero, zero, zero, zero)),         # zero pattern
+        ((a, b, zero, zero), (zero, zero, c, zero)),      # saddle against source
+        ((zero, zero, zero, d), (zero, b, zero, zero)),   # vortex against saddle45
+    ]
+    refused_field = [np.concatenate(x) for x in zip(*(_entries(*v) for v, _ in refused))]
+    refused_copy = [np.concatenate(x) for x in zip(*(_entries(*u) for _, u in refused))]
+    at = np.arange(0, len(angle), 6)
+    return (tuple(np.insert(x, at, r) for x, r in zip(field, refused_field)),
+            tuple(np.insert(x, at, r) for x, r in zip(copy, refused_copy)))
 
 
 @pytest.mark.parametrize("handover", [0, 100, None])
@@ -353,20 +368,29 @@ def test_detect_all_applies_the_branch_rule(monkeypatch, handover, max_iter):
     # hands the rest over after reading 1, where _iterate halves, and
     # 100 after reading 2.
     if handover is not None:
-        monkeypatch.setattr(experiments, "_HANDOVER", handover)
+        monkeypatch.setattr(registration, "_HANDOVER", handover)
     field, copy = _branch_pairs()
-    assert len(field[0]) > experiments._HANDOVER
+    assert len(field[0]) > registration._HANDOVER
     eps = 1e-6
-    applied, iterations, capped = experiments._detect_all(field, copy, eps, max_iter)
+    live, applied, iterations, capped = registration._detect_all(
+        field, copy, second_moment(UNIT_SQUARE), eps, max_iter)
     cfg = DetectorConfig(eps=eps, max_iter=max_iter)
     branches = set()
+    k = 0
     for i, (v, u) in enumerate(zip(zip(*(x.tolist() for x in field)),
                                    zip(*(x.tolist() for x in copy)))):
-        ref = detect(LinearField(*v), LinearField(*u), cfg)
+        try:
+            ref = detect(LinearField(*v), LinearField(*u), cfg)
+        except DegenerateZeroFieldError:
+            assert not live[i], i
+            continue
+        assert live[i], i
         branches.update(t.branch for t in ref.trace)
-        assert repr(wrap_angle(-float(applied[i]))) == repr(ref.alpha), i
-        assert iterations[i] == ref.iterations, i
-        assert capped[i] == (ref.status is DetectionStatus.MAX_ITER_EXCEEDED), i
+        assert repr(wrap_angle(-float(applied[k]))) == repr(ref.alpha), i
+        assert iterations[k] == ref.iterations, i
+        assert capped[k] == (ref.status is DetectionStatus.MAX_ITER_EXCEEDED), i
+        k += 1
+    assert k == len(applied) == np.count_nonzero(live) == len(live) - 40
     expected = {None, "perturb", "halve", "lock"} if max_iter >= 2 else {None, "perturb"}
     assert branches == expected
 
