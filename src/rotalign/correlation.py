@@ -135,9 +135,12 @@ def _sums(half_moment: float, u: tuple, v: tuple) -> tuple:
 def correlate_sampled(u: SampledField, v: SampledField) -> CorrelationValue:
     """Midpoint-quadrature correlation of two sampled fields.
 
-    Sums reverse(u_cell) * v_cell * cell_area over cells inside the
-    domain.  For grade-1 samples each term is a spinor exactly, so the
-    result has no vector part to within rounding.
+    Sums reverse(u_cell) * v_cell * cell_area over every cell of the
+    grid, masked or not.  That is the sum over the domain's cells when
+    the cells outside it hold zero, as ``sample`` and the resampler
+    leave them; ``SampledField`` itself does not enforce it.  For
+    grade-1 samples each term is a spinor exactly, so the result has no
+    vector part to within rounding.
     """
     if not u.compatible_with(v):
         raise DomainMismatchError(

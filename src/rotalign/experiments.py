@@ -52,6 +52,7 @@ from .registration import (
     DetectionStatus,
     DetectorConfig,
     _detect_all,
+    _integer,
     _mapped,
     detect,
 )
@@ -64,13 +65,6 @@ __all__ = [
     "run_campaign",
     "report_csv_header",
 ]
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -197,8 +191,7 @@ def run_trial(rng: np.random.Generator, eps: float, coeff_bound: float = 1.0,
     angle, field = _draw_field(rng, coeff_bound, coefficient_space)
     copy = total_rotate(field, angle)
     try:
-        result = detect(field, copy, DetectorConfig(eps=eps, max_iter=max_iter),
-                        record_trace=False)
+        result = detect(field, copy, DetectorConfig(eps=eps, max_iter=max_iter))
     except DegenerateZeroFieldError:
         return TrialOutcome(math.nan, 0, DetectionStatus.DEGENERATE_ZERO_FIELD)
     recovered = total_rotate(copy, -result.alpha)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 __all__ = [
     "Multivector2",
     "Rotor",
-    "ZERO",
-    "ONE",
     "E1",
     "E2",
     "E12",
@@ -134,8 +132,6 @@ class Multivector2:
         return Multivector2(s, 0.0, 0.0, b)
 
 
-ZERO = Multivector2()
-ONE = Multivector2(s=1.0)
 E1 = Multivector2(x=1.0)
 E2 = Multivector2(y=1.0)
 E12 = Multivector2(b=1.0)

@@ -36,7 +36,8 @@ one as its phi.  ``DetectionResult.trace`` builds the entries from them
 when it is first read, summing the accumulator of the later readings
 left to right, so they equal entries recorded reading by reading.  A
 campaign's trials run the loop as arrays in ``_detect_all``, which
-hands each trial that the rule can act on to ``_iterate``.
+records no readings and hands each trial that the rule can act on to
+``_iterate``.
 
 Loop equality tests ("accumulator is zero", "phi is -pi/2") are taken
 up to ``_ZERO_TOL`` = 1e-9 because correlation arguments are floating
@@ -139,6 +140,14 @@ class TraceEntry(NamedTuple):
     branch: Optional[str]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Stopping accuracy eps (above the 1e-9 branch tolerance) and iteration cap."""
@@ -150,11 +159,7 @@ class DetectorConfig:
         if not self.eps > _ZERO_TOL:
             raise ValueError(f"eps must exceed the branch tolerance {_ZERO_TOL!r}, "
                              f"got {self.eps!r}")
-        try:
-            max_iter = operator.index(self.max_iter)
-        except TypeError:
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
-        if max_iter < 1:
+        if _integer("max_iter", self.max_iter) < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
@@ -202,10 +207,10 @@ class DetectionResult:
     special-case branches overwrite), unwrapped for debuggability.
 
     The loop records only ``_readings``: readings 1 and 2 as (phi,
-    accumulator, branch) and every later one as its phi, or nothing
-    when it keeps no trace.  ``trace`` is built from them when it is
-    first read, and kept.  Results compare, hash, pickle and
-    ``replace`` by their readings, which determine the trace.
+    accumulator, branch) and every later one as its phi.  ``trace`` is
+    built from them when it is first read, and kept.  Results compare,
+    hash, pickle and ``replace`` by their readings, which determine the
+    trace.
 
     ``corrected`` is the pattern turned by the answer.  The detectors
     hand it over as a recipe, the few values it is built from, and it
@@ -228,7 +233,7 @@ class DetectionResult:
 
     @cached_property
     def trace(self) -> tuple:
-        """One ``TraceEntry`` per reading; () when the loop kept no trace."""
+        """One ``TraceEntry`` per reading, so ``iterations`` of them."""
         head = self._readings[:2]
         phis = self._readings[2:]
         entries = [TraceEntry(i, *reading) for i, reading in enumerate(head, 1)]
@@ -487,8 +492,7 @@ def _detect_all(field, copy, moment: float, eps: float, max_iter: int) -> tuple:
     return live, applied_out, iterations, capped
 
 
-def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(),
-           record_trace: bool = True) -> DetectionResult:
+def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig()) -> DetectionResult:
     """Recover the total-rotation offset of pattern u against field v.
 
     The loop runs in decomposition coordinates: the correlation of two
@@ -526,12 +530,12 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
             raise ValueError(f"pattern {u.coefficients()!r} is too large: some turn of it "
                              f"overflows its entries")
 
-    readings = [] if record_trace else None
+    readings = []
     au, bu, applied, iteration, capped = _iterate(
         moment, av, bv, au, bu, cu * cv, d_u * d_v, cu * d_v - d_u * cv,
         cfg.eps, cfg.max_iter, readings=readings)
     corrected = _when_read(u_exp >= _MAX_EXP - 3, _linear_copy, au, bu, u_c, u_d, u_exp, v.domain)
-    return _result(applied, iteration, readings or (), capped, corrected)
+    return _result(applied, iteration, readings, capped, corrected)
 
 
 def _linear_copy(au: float, bu: float, c: float, d: float, exp: int,

@@ -159,7 +159,7 @@ def test_criterion_5_convergence_and_correctness():
         ratio = min(n1, n2) / max(n1, n2) if max(n1, n2) > 0 else 0.0
         theta = math.pi - 2 * math.pi * rng.random()
         u = total_rotate(v, theta)
-        result = detect(v, u, cfg, record_trace=False)
+        result = detect(v, u, cfg)
         if ratio < 1e-6:
             excluded += 1
             continue

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rotalign
-from rotalign import cli, detect
+from rotalign import TraceEntry, cli, detect
 from rotalign.cli import main
 
 
@@ -52,19 +53,36 @@ def test_detect_iteration_cap_exit_code(capsys):
     assert branches.count("lock") == 1
 
 
-@pytest.mark.parametrize("flags, want", [((), False), (("--trace",), True),
-                                           (("--json",), False), (("--json", "--trace"), True)])
-def test_detect_builds_the_trace_only_when_printed(monkeypatch, capsys, flags, want):
+@pytest.mark.parametrize("flags, printed", [((), False), (("--trace",), True),
+                                              (("--json",), False), (("--json", "--trace"), True)])
+def test_detect_builds_the_trace_only_when_printed(monkeypatch, capsys, flags, printed):
+    # The spy keeps the result, and so any trace built, alive; with the
+    # collector off, every TraceEntry made stays listed by gc.get_objects().
     seen = []
 
     def spy(*args, **kwargs):
-        seen.append(kwargs.get("record_trace", True))
-        return detect(*args, **kwargs)
+        seen.append(detect(*args, **kwargs))
+        return seen[-1]
+
+    def entries() -> int:
+        return sum(type(o) is TraceEntry for o in gc.get_objects())
 
     monkeypatch.setattr(cli, "detect", spy)
-    code, _, _ = run_cli(capsys, "detect", "--field", "1,0.2,0.3,-1", "--alpha", "0.4", *flags)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = entries()
+        code, _, _ = run_cli(capsys, "detect", "--field", "1,0.2,0.3,-1", "--alpha", "0.4",
+                             *flags)
+        built = entries() - before
+    finally:
+        if was_enabled:
+            gc.enable()
     assert code == 0
-    assert seen == [want]
+    [result] = seen
+    assert result.iterations > 2
+    assert built == (result.iterations if printed else 0)
+    assert len(result.trace) == result.iterations
 
 
 def test_detect_from_field_files(tmp_path, capsys):
