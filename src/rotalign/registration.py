@@ -49,19 +49,23 @@ Linear fields are closed under total rotation, so the loop updates the
 copy exactly (the saddle coefficient pair rotates by 2*phi) instead of
 resampling.  ``detect_sampled`` is the grid-backed entry point.  It
 projects both samples onto linear fields by four grid moments, reading
-each sample once for its peak, its fit and a bound on the fit's
-residual, and when both reproduce their samples to ``_LINEAR_TOL`` =
-1e-12 (relative residual over all cells) it answers with ``detect`` on
-the projections.  Any other pair runs the same loop on the samples,
-with quadrature correlation and a copy re-interpolated each step, and
-is therefore approximate.
+each sample once for its peak, its moments and its energy.  The
+least-squares projection is the degree-1 term of a field's power
+series, and on a disk it commutes with total rotation, so whenever
+neither projection is degenerate it answers with ``detect`` on the
+projections, linear samples or not.  A pair with a degenerate
+projection (the constant flow, the double winding), or on a mask the
+moment formula does not fit, runs the same loop on the samples, with
+quadrature correlation and a copy re-interpolated each step, and is
+therefore approximate.
 
 A result's ``corrected`` copy is a by-product of the answer, so
 ``detect`` and the projection keep only what it is built from (the
 turned saddle pair, the pattern's exponent, its invariant pair, the
-grid) and build it when it is first read.  Whether it overflows is
-settled during the call: where a bound on its entries cannot rule
-that out, the same builder runs at once.
+grid; for a pattern its projection does not reproduce, the pattern
+and the answer) and build it when it is first read.  Whether it
+overflows is settled during the call: where a bound on its entries
+cannot rule that out, the same builder runs at once.
 
 ``oracle_detect`` and ``detect_known_pattern`` need no loop: the turn
 of one linear field nearest another is half the angle between their
@@ -116,7 +120,14 @@ __all__ = [
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
 _ZERO_TOL = 1e-9
-_LINEAR_TOL = 1e-12  # relative residual under which a sample counts as linear
+# A projection holding at most this share of its sample's energy, or a
+# pair of projections correlating at most this share of their norms,
+# counts as zero: the sample has no linear part to answer with.
+_DEGENERATE_TOL = 1e-12
+# Relative residual under which a pattern's corrected copy is laid out
+# from its projection.  The Pythagorean residual of an exactly linear
+# sample reads up to 7e-8 from rounding at n = 512.
+_LINEAR_TOL = 1e-6
 _MAX_EXP = sys.float_info.max_exp
 _MIN_EXP = sys.float_info.min_exp
 
@@ -631,64 +642,45 @@ def _peak(values: np.ndarray) -> tuple:
 def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
     """Prepare ``fit(values)`` for samples on ``grid``'s cells and mask.
 
-    ``fit`` returns (field, peak, exp): peak and exp as ``_peak`` gives
-    them, and the linear field whose masked samples match values *
-    2**-exp to ``_LINEAR_TOL`` (relative residual over all cells), or
-    None.  The cell centers and the domain's mask are symmetric in both
-    axes and under a quarter turn, so on the masked grid sum x1*x2 = 0
-    and sum x1^2 = sum x2^2, and least squares gives a_ij = sum v_i x_j
-    / sum x_j^2.  The moments run over every cell, which is the masked
-    grid when the cells outside the domain hold zero, as ``sample``
-    leaves them.  The residual is taken over every cell too, so a sample
-    with anything else outside the domain is not linear.
+    ``fit`` returns (field, share, peak, exp): peak and exp as ``_peak``
+    gives them, the least-squares linear field of values * 2**-exp, and
+    the share of those scaled values' energy that it holds.  On a mask
+    whose rows mirror in x2 and whose x1 and x2 weights are equal (every
+    domain's mask is one), sum x1*x2 = 0 and sum x1^2 = sum x2^2 = W over
+    the masked cells, so least squares gives a_ij = sum v_i x_j / W and
+    holds W * sum a_ij^2 of the energy (Pythagoras, so the share needs
+    no pass over a residual).  On any other mask, or a zero sample,
+    ``fit`` reads only the peak and returns (None, 0.0, peak, exp).  The
+    moments and the energy run over every cell, which is the masked grid
+    when the cells outside the domain hold zero, as ``sample`` leaves
+    them.
 
     One traversal reads each value once, in blocks of ``_BLOCK_ROWS``
     rows.  A block raises the running peak and is scaled by 2**-exp of
     it into one cache-sized buffer; what was summed at a smaller
     exponent is rescaled by a power of two, which is exact.  The block
     then adds its column sums and x2-weighted rows (one ``[1; x2] @
-    block`` product), its energy, and its squared misfit against a trial
-    fit: the first block's own least-squares fit, subtracted under the
-    mask.  Each block's trial values are the previous block's plus one
-    constant, so no block pays a broadcast.
-
-    Where sum x1*x2 = 0 and sum x2^2 = W, the x1 weight (a mask whose
-    rows mirror in x2, with equal weights), the fit from the moments is
-    the least-squares fit over the masked cells up to the values outside
-    them.  Its residual is then at most the trial's times 1 + X/W, with X
-    the sum of |x|^2 over the cells outside the mask, and within the
-    bound it is accepted.  Otherwise a second traversal sums the fit's
-    own misfit and stops once it exceeds the bound.
+    block`` product) and its energy.
     """
     n = grid.n
     x = grid.centers()
     squares = x * x
     mask = grid.mask
     cells_in = mask.view(np.uint8)
-    columns_in = cells_in.sum(axis=0, dtype=np.uint32)
-    rows_in = cells_in.sum(axis=1, dtype=np.uint32)
-    weight = float(columns_in @ squares)
-    top = slice(0, _BLOCK_ROWS)
-    top_x1 = float(cells_in[top].sum(axis=0, dtype=np.uint32) @ squares)
-    top_x2 = float(rows_in[top] @ squares[top])
-    trial_bound = bool(top_x1 and top_x2 and float(rows_in @ squares) == weight
-                       and np.array_equal(mask, mask[::-1]))
-    if trial_bound:
-        stretch = 1.0 + float((2 * n - columns_in - rows_in) @ squares) / weight
-        # where=True, for blocks wholly inside the mask, runs numpy's unmasked loop.
-        inside = [True if m.all() else m for m in map(mask.__getitem__, _blocks(n))]
+    weight = float(cells_in.sum(axis=0, dtype=np.uint32) @ squares)
+    projects = bool(weight and float(cells_in.sum(axis=1, dtype=np.uint32) @ squares) == weight
+                    and np.array_equal(mask, mask[::-1]))
     ones_x2 = np.stack([np.ones(n), x])
     buffer = np.empty((min(n, _BLOCK_ROWS), 2 * n))
 
     def fit(values: np.ndarray) -> tuple:
-        if not weight:
-            return (None, *_peak(values))
+        if not projects:
+            return (None, 0.0, *_peak(values))
         rows = values.reshape(n, 2 * n)
         moments = np.zeros((2, 2 * n))
-        energy = misfit = peak = 0.0
+        energy = peak = 0.0
         exp = 0
-        trial = None
-        for k, block_rows in enumerate(_blocks(n)):
+        for block_rows in _blocks(n):
             source = rows[block_rows]
             block_peak, shift = _peak(source)
             if block_peak > peak:
@@ -696,45 +688,20 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
                     # Rescale what was summed at 2**-exp.
                     _scaled(moments, exp - shift, moments)
                     energy = math.ldexp(energy, 2 * (exp - shift))
-                    misfit = math.ldexp(misfit, 2 * (exp - shift))
-                    if trial is not None:
-                        _scaled(trial.view(float), exp - shift, trial.view(float))
-                        row_term = complex(math.ldexp(row_term.real, exp - shift),
-                                           math.ldexp(row_term.imag, exp - shift))
                 peak, exp = block_peak, shift
             block = _scaled(source, -exp, buffer[:len(source)])
             moments += ones_x2[:, block_rows] @ block
             energy += np.vdot(block, block)
-            if not trial_bound:
-                continue
-            if trial is None:
-                t11, t21 = x @ moments[0].reshape(n, 2) / top_x1
-                t12, t22 = moments[1].reshape(n, 2).sum(axis=0) / top_x2
-                row_term = complex(t12, t22)
-                trial = np.add.outer(x[top] * row_term, x * complex(t11, t21))
-            else:
-                trial += (x[block_rows.start] - x[block_rows.start - _BLOCK_ROWS]) * row_term
-            cells = block.view(complex)
-            np.subtract(cells, trial[:len(source)], out=cells, where=inside[k])
-            misfit += np.vdot(block, block)
+        if not peak:
+            return None, 0.0, peak, exp
         # (a11, a21): weight the column sums by x1.  (a12, a22): sum the
         # x2-weighted rows over the cells.
         along_x1 = x @ moments[0].reshape(n, 2) / weight
         along_x2 = moments[1].reshape(n, 2).sum(axis=0) / weight
         linear = LinearField(float(along_x1[0]), float(along_x2[0]),
                              float(along_x1[1]), float(along_x2[1]), grid.domain)
-        bound = _LINEAR_TOL * _LINEAR_TOL * energy
-        if trial_bound and misfit * stretch <= bound:
-            return linear, peak, exp
-        misfit = 0.0
-        for block_rows in _blocks(n):
-            source = rows[block_rows]
-            block = _scaled(source, -exp, buffer[:len(source)])
-            block -= _grid_values(linear, x, x[block_rows], mask[block_rows]).reshape(block.shape)
-            misfit += np.vdot(block, block)
-            if misfit > bound:
-                return None, peak, exp
-        return linear, peak, exp
+        share = weight * float(along_x1 @ along_x1 + along_x2 @ along_x2) / energy
+        return linear, share, peak, exp
 
     return fit
 
@@ -746,69 +713,78 @@ def _blocks(n: int) -> list:
 
 def detect_sampled(v: SampledField, u: SampledField,
                    cfg: DetectorConfig = DetectorConfig()) -> DetectionResult:
-    """Grid-backed detection: ``detect`` on linear samples, the resample loop on others.
+    """Grid-backed detection: ``detect`` on the samples' linear projections.
 
     Each field is scaled by a power of two, so the answer is the same at
-    any scale.  When both scaled samples are linear to ``_LINEAR_TOL`` =
-    1e-12 (relative residual over all cells; see ``_linear_fitter``,
-    which scales them block by block), the answer is ``detect`` on the
-    two projected linear fields, and ``corrected`` holds the masked
-    samples of its corrected field, laid out on the grid when first
-    read; no scaled copy of either sample is made.  Otherwise both
-    scaled copies are made and ``_detect_by_resampling`` runs the loop
-    on them, and ``corrected`` is its last resampled copy.  Either way
-    ``corrected`` is scaled back to the pattern's scale.  A turned copy
-    can peak above the samples, and a pattern whose copy would then
-    overflow is refused with ``ValueError`` during the call.  The result
-    holds the mask but neither sample's values.
+    any scale, and projected onto a linear field (``_linear_fitter``,
+    which scales it block by block).  On a disk the projection commutes
+    with total rotation; on a square, which a turn does not map to
+    itself, only approximately.  When neither projection is degenerate
+    (each holds more than ``_DEGENERATE_TOL`` = 1e-12 of its scaled
+    sample's energy) the answer is ``detect`` on the two projections,
+    and no scaled copy of either sample is made.  ``corrected`` is then
+    built when first read: for a pattern within ``_LINEAR_TOL`` = 1e-6
+    of its projection (relative residual over all cells), the masked
+    samples of detect's corrected field; for any other, the pattern
+    resampled once at the answer, and the result holds the pattern
+    until then.  A pair with a degenerate projection, or on a mask the
+    moment formula does not fit, makes both scaled copies instead, and
+    ``_detect_by_resampling`` runs the loop on them; ``corrected`` is
+    its last resampled copy.  Either way ``corrected`` is scaled back to
+    the pattern's scale.  A turned copy can peak above the samples, and a
+    pattern whose copy would then overflow is refused with
+    ``ValueError`` during the call.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
     fit = _linear_fitter(v)
-    v_fit, v_peak, v_exp = fit(v.values)
+    v_fit, v_share, v_peak, v_exp = fit(v.values)
     if v_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align against the zero field")
-    if v_fit is None:
-        u_fit = None
+    if v_share <= _DEGENERATE_TOL:
+        u_fit, u_share = None, 0.0
         u_peak, u_exp = _peak(u.values)
     else:
-        u_fit, u_peak, u_exp = fit(u.values)
+        u_fit, u_share, u_peak, u_exp = fit(u.values)
     del fit  # and its block buffer, before any full-size copy is made
     if u_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align a zero pattern")
 
-    if u_fit is None:
-        result = _detect_by_resampling(
-            SampledField._unchecked(v.n, v.domain, _scaled(v.values, -v_exp, None), v.mask),
-            SampledField._unchecked(u.n, u.domain, _scaled(u.values, -u_exp, None), u.mask),
-            cfg)
-    else:
-        # The projections carry rounding noise, so detect's test for a
-        # pair that no turn correlates is taken relative to their norms.
-        (v_saddle, v_invariant), (u_saddle, u_invariant) = map(_pair_norms, (v_fit, u_fit))
-        if (v_saddle * u_saddle + v_invariant * u_invariant
-                <= _LINEAR_TOL * math.hypot(v_saddle, v_invariant)
-                * math.hypot(u_saddle, u_invariant)):
-            raise DegenerateZeroFieldError("no turn correlates the two samples beyond "
-                                           f"{_LINEAR_TOL!r} of their norms")
-        result = detect(v_fit, u_fit, cfg)
     # A turned copy can peak above its pattern (by up to sqrt(2) for a
     # saddle on the square), so it may overflow where the samples did not.
     try:
-        if u_fit is None:
+        if u_share <= _DEGENERATE_TOL:
+            result = _detect_by_resampling(
+                SampledField._unchecked(v.n, v.domain, _scaled(v.values, -v_exp, None), v.mask),
+                SampledField._unchecked(u.n, u.domain, _scaled(u.values, -u_exp, None), u.mask),
+                cfg)
             values = result.corrected.values
             with np.errstate(over="raise"):
                 _scaled(values, u_exp, values)
             return result
-        linear = result.corrected
-        # Every value a11*x1 + a12*x2 or a21*x1 + a22*x2 of the scaled
-        # copy is at most reach, as |x1|, |x2| < L.  Where reach * 2**u_exp
-        # stays below 2**(_MAX_EXP - 1), a binade short of overflow, and
-        # u_exp below the top four exponents, the copy waits to be read.
-        reach = (max(abs(linear.a11) + abs(linear.a12), abs(linear.a21) + abs(linear.a22))
-                 * u.domain.bounding_half_side)
-        eager = u_exp >= _MAX_EXP - 3 or math.frexp(reach)[1] + u_exp >= _MAX_EXP
-        corrected = _when_read(eager, _sampled_copy, linear, u_exp, u.n, u.domain, u.mask)
+        # The projections carry rounding noise, so detect's test for a
+        # pair that no turn correlates is taken relative to their norms.
+        (v_saddle, v_invariant), (u_saddle, u_invariant) = map(_pair_norms, (v_fit, u_fit))
+        if (v_saddle * u_saddle + v_invariant * u_invariant
+                <= _DEGENERATE_TOL * math.hypot(v_saddle, v_invariant)
+                * math.hypot(u_saddle, u_invariant)):
+            raise DegenerateZeroFieldError("no turn correlates the two samples beyond "
+                                           f"{_DEGENERATE_TOL!r} of their norms")
+        result = detect(v_fit, u_fit, cfg)
+        if 1.0 - u_share > _LINEAR_TOL * _LINEAR_TOL:
+            # Scaled, a resampled value is below sqrt(2), so only a peak
+            # at the top exponent can overflow its copy.
+            corrected = _when_read(u_exp >= _MAX_EXP, _resampled_copy, u, u_exp, -result.alpha)
+        else:
+            linear = result.corrected
+            # Every value a11*x1 + a12*x2 or a21*x1 + a22*x2 of the scaled
+            # copy is at most reach, as |x1|, |x2| < L.  Where reach * 2**u_exp
+            # stays below 2**(_MAX_EXP - 1), a binade short of overflow, and
+            # u_exp below the top four exponents, the copy waits to be read.
+            reach = (max(abs(linear.a11) + abs(linear.a12), abs(linear.a21) + abs(linear.a22))
+                     * u.domain.bounding_half_side)
+            eager = u_exp >= _MAX_EXP - 3 or math.frexp(reach)[1] + u_exp >= _MAX_EXP
+            corrected = _when_read(eager, _sampled_copy, linear, u_exp, u.n, u.domain, u.mask)
     except FloatingPointError:
         raise ValueError(f"pattern samples (peak {u_peak!r}) are too large: their "
                          f"corrected copy overflows") from None
@@ -826,6 +802,18 @@ def _sampled_copy(linear: LinearField, exp: int, n: int, domain: SymmetricDomain
     with np.errstate(over="raise"):
         _scaled(values, exp, values)
     return SampledField._unchecked(n, domain, values, mask)
+
+
+def _resampled_copy(pattern: SampledField, exp: int, theta: float) -> SampledField:
+    """``pattern`` turned by theta: its samples times 2**-exp, resampled once, times 2**exp.
+
+    Raises ``FloatingPointError`` if a value overflows.
+    """
+    scaled = _scaled(pattern.values, -exp, None)
+    copy = _resampler(SampledField._unchecked(pattern.n, pattern.domain, scaled, pattern.mask))(theta)
+    with np.errstate(over="raise"):
+        _scaled(copy.values, exp, copy.values)
+    return copy
 
 
 def _detect_by_resampling(v: SampledField, u: SampledField,

@@ -558,39 +558,44 @@ def test_known_pattern_needs_a_shared_domain():
 # ---------------------------------------------------------------- sampled
 
 def test_detect_sampled_linear_pair(monkeypatch):
-    # Both routes: a 1e-6 quadratic bend in the pattern sends it through the loop.
+    # detect_sampled projects the pattern, linear or bent by 1e-6; the
+    # resample loop, called directly, answers the bent pair too.
     loops = _count_loop_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     u = total_rotate(v, 0.35)
-    for bend, route in ((0.0, 0), (1e-6, 1)):
-        loops.clear()
-        result = detect_sampled(sample(v, 256), _bent(sample(u, 256), bend),
-                                DetectorConfig(eps=1e-4))
-        assert len(loops) == route
+    cfg = DetectorConfig(eps=1e-4)
+    sv, su, bent = sample(v, 256), sample(u, 256), _bent(sample(u, 256), 1e-6)
+    results = [detect_sampled(sv, su, cfg), detect_sampled(sv, bent, cfg)]
+    assert loops == []
+    results.append(registration._detect_by_resampling(sv, bent, cfg))
+    assert len(loops) == 1
+    for result in results:
         assert result.converged()
         assert abs(result.alpha - 0.35) <= 1e-3
 
 
 def test_detect_sampled_aligned_fires_kick(monkeypatch):
-    # Both routes: a bent sample against itself reads an exactly zero
-    # bivector in the loop, as a linear one does in ``detect``.
+    # Both routes: a sample against itself, linear or bent, projects to
+    # one field twice, and the resample loop, called directly, reads an
+    # exactly zero bivector, as ``detect`` does on a linear pair.
     loops = _count_loop_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
-    for bend, route in ((0.0, 0), (1e-6, 1)):
-        loops.clear()
+    cfg = DetectorConfig(eps=1e-4)
+    for bend in (0.0, 1e-6):
         s = _bent(sample(v, 64), bend)
-        result = detect_sampled(s, s, DetectorConfig(eps=1e-4))
-        assert len(loops) == route
-        assert result.converged()
-        assert result.trace[0].branch == "perturb"
-        assert [t.branch for t in result.trace].count("perturb") == 1
-        assert angle_distance_mod_pi(result.alpha, 0.0) <= 1e-3
+        for result in (detect_sampled(s, s, cfg), registration._detect_by_resampling(s, s, cfg)):
+            assert result.converged()
+            assert result.trace[0].branch == "perturb"
+            assert [t.branch for t in result.trace].count("perturb") == 1
+            assert angle_distance_mod_pi(result.alpha, 0.0) <= 1e-3
+    assert len(loops) == 2
 
 
 def test_detect_sampled_refuses_a_pattern_whose_copy_overflows():
     # The turned copy of a saddle on the square peaks up to sqrt(2) above
-    # its samples: at c = 1.55e308 (peak 1.45e308) the projected copy
-    # overflows, and with a 1e-6 bend so does the loop's at 1.7e308.
+    # its samples: at c = 1.55e308 (peak 1.45e308) the laid-out copy
+    # overflows, and bent by 1e-6 (still within _LINEAR_TOL of linear)
+    # so does it at 1.7e308.
     def big_saddle(c, bend=0.0):
         return sample(lambda x1, x2: (c * x1 + bend * c * x1 * x2, -c * x2), 16,
                       SymmetricDomain.square(1.0))
@@ -716,14 +721,17 @@ def test_detect_sampled_is_pinned(domain, theta, alpha, digest):
 
 
 def test_detect_sampled_scale_invariance(monkeypatch):
-    # Both routes: linear samples go through the projection; a 1e-6
-    # quadratic bend in the pattern sends the pair through the loop.
+    # Every route: a linear pattern and one bent by 1e-3 go through the
+    # projection, the bent one's copy resampled; a constant flow, whose
+    # projection is zero, goes through the loop.
     loops = _count_loop_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     u = total_rotate(v, 0.3)
     cfg = DetectorConfig(eps=1e-6)
-    for bend, route in ((0.0, 0), (1e-6, 1)):
+    for bend, route in ((0.0, 0), (1e-3, 0), (None, 1)):
         def pair(k):
+            if bend is None:
+                return _flow(32, 0.0, k), _flow(32, 0.3, k)
             return sample(scaled(v, k), 32), _bent(sample(scaled(u, k), 32), k * bend)
 
         loops.clear()
@@ -759,6 +767,13 @@ def _count_loop_calls(monkeypatch) -> list:
     return calls
 
 
+def _flow(n: int, offset: float = 0.0, k: float = 1.0) -> SampledField:
+    """k * (0.6, -0.3) turned by offset, constant on the unit disk: its projection is zero."""
+    c, s = math.cos(offset), math.sin(offset)
+    a1, a2 = k * (0.6 * c + 0.3 * s), k * (0.6 * s - 0.3 * c)
+    return sample(lambda x1, x2: (np.full_like(x1, a1), np.full_like(x2, a2)), n, UNIT_DISK)
+
+
 def _bent(s: SampledField, size: float) -> SampledField:
     """s plus size * x1 * x2 in its first component, inside the mask."""
     x = s.centers()
@@ -789,13 +804,15 @@ def test_detect_sampled_swapping_samples_negates_offset(monkeypatch, domains, n,
                                                         looped):
     # Off the kick, the swapped run mirrors every step of the forward one
     # on both routes: gaps measured up to 4.4e-16 on the projection and 0
-    # on the loop.
+    # on the loop.  detect_sampled projects the bent samples, so the loop
+    # is called directly.
     loops = _count_loop_calls(monkeypatch)
     cfg = DetectorConfig(eps=1e-8)
+    detector = registration._detect_by_resampling if looped else detect_sampled
     for v, offset in _offset_fields(domains, pairs):
         sv, su = _bent(sample(v, n), bend), _bent(sample(total_rotate(v, offset), n), bend)
-        forward = detect_sampled(sv, su, cfg)
-        backward = detect_sampled(su, sv, cfg)
+        forward = detector(sv, su, cfg)
+        backward = detector(su, sv, cfg)
         assert forward.converged() and backward.converged()
         assert angle_distance_mod_pi(backward.alpha, -forward.alpha) <= 1e-12
     assert len(loops) == (2 * pairs if looped else 0)
@@ -826,17 +843,10 @@ def test_detect_sampled_answers_a_flow_without_linear_part_by_the_loop(monkeypat
     # is zero to rounding.
     loops = _count_loop_calls(monkeypatch)
     cfg = DetectorConfig(eps=1e-8)
-
-    def flow(a1, a2):
-        return lambda x1, x2: (np.full_like(x1, a1), np.full_like(x2, a2))
-
     for n in (32, 64):
         for offset in (0.4, -1.1):
-            c, s = math.cos(offset), math.sin(offset)
-            v = sample(flow(0.6, -0.3), n, UNIT_DISK)
-            u = sample(flow(0.6 * c + 0.3 * s, 0.6 * s - 0.3 * c), n, UNIT_DISK)
             loops.clear()
-            result = detect_sampled(v, u, cfg)
+            result = detect_sampled(_flow(n), _flow(n, offset), cfg)
             assert len(loops) == 1
             assert result.converged()
             assert result.iterations == 2
@@ -851,8 +861,9 @@ def test_linear_fit_recovers_sampled_coefficients(domain, n):
         f = LinearField(*(scale * rng.uniform(-1, 1, 4)), domain)
         s = sample(f, n)
         # The fit is of the samples times 2**-e, e of their peak.
-        fit, peak, e = _linear_fitter(s)(s.values)
+        fit, share, peak, e = _linear_fitter(s)(s.values)
         assert (peak, e) == _peak(s.values)
+        assert 1.0 - share <= registration._LINEAR_TOL ** 2
         assert fit.domain == domain
         worst = max(abs(math.ldexp(a, e) - b)
                     for a, b in zip(fit.coefficients(), f.coefficients()))
@@ -863,10 +874,10 @@ def test_linear_fit_recovers_sampled_coefficients(domain, n):
 def _linear_by_whole_grid_residual(s: SampledField) -> bool:
     """Whether the whole-grid least-squares fit reproduces s to ``_LINEAR_TOL``.
 
-    The reference for the projection route, written out over full
-    arrays: scale by the peak's power of two, a_ij = sum v_i x_j / sum
-    x1^2 (sum x1^2 over the masked cells), the fit's values zero outside
-    the mask, and the residual over every cell.
+    The reference for the laid-out copy, written out over full arrays:
+    scale by the peak's power of two, a_ij = sum v_i x_j / sum x1^2 (sum
+    x1^2 over the masked cells), the fit's values zero outside the mask,
+    and the residual over every cell.
     """
     w = np.ldexp(s.values, -math.frexp(np.abs(s.values).max())[1])
     x1, x2 = np.meshgrid(s.centers(), s.centers())
@@ -879,18 +890,25 @@ def _linear_by_whole_grid_residual(s: SampledField) -> bool:
 
 
 def _routing_pairs():
-    """(v, u) sample pairs around the linear bound and on unusual masks."""
+    """(v, u) sample pairs around the linear bound and on unusual masks.
+
+    A bend of b leaves a relative residual of about 0.42 b on the square
+    and 0.30 b on the disk, so the bends fall on both sides of
+    ``_LINEAR_TOL`` = 1e-6, at least 16% from it.
+    """
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     for domain in (SymmetricDomain.square(1.0), UNIT_DISK):
         field = LinearField(*v.coefficients(), domain)
         for n in (8, 33, 512):
             sv, su = sample(field, n), sample(total_rotate(field, 0.4), n)
-            for bend in (0.0, 1e-13, 5e-13, 2e-12, 1e-11):
+            for bend in (0.0, 1e-6, 2e-6, 4e-6, 1e-5):
                 yield sv, _bent(su, bend)
                 yield _bent(sv, bend), su
     # Masks other than a domain's: a disk of radius 0.3 on the unit
     # square's 96-cell grid leaves the first row block wholly outside;
-    # dropping the left 20 columns of a disk makes it asymmetric.
+    # dropping the left 20 columns of a disk leaves its rows mirrored in
+    # x2 but its x1 and x2 weights unequal, and its transpose is not
+    # mirrored.
     square = SymmetricDomain.square(1.0)
     x = sample(v, 96).centers()
     small = np.add.outer(x * x, x * x) <= 0.09
@@ -902,41 +920,43 @@ def _routing_pairs():
                   for g in (v, total_rotate(v, 0.4))]
         sv, su = (SampledField(n, domain, np.where(mask[..., None], a, 0.0), mask)
                   for a in values)
-        for bend in (0.0, 1e-9):
+        for bend in (0.0, 1e-5):
             yield sv, _bent(su, bend)
-    # Values outside the mask move the fit from the moments off the
-    # least-squares fit.  Along x, in the lower half only, with energy
-    # 0.85 tol^2 of the sample's, they leave the misfit of the trial (fit
-    # to the upper rows) within the bound and the fit's own residual past
-    # it; at 0.3 tol^2 both are within.
-    field = LinearField(*v.coefficients(), UNIT_DISK)
-    sv, su = sample(field, 64), sample(total_rotate(field, 0.4), 64)
-    x = sv.centers()
-    outside = ~sv.mask
-    outside[:32] = False
-    along_x = np.stack(np.meshgrid(x, x), axis=-1)[outside]
-    for share in (0.3, 0.85):
-        size = math.sqrt(share * registration._LINEAR_TOL ** 2 * np.sum(su.values ** 2)
-                         / np.sum(along_x ** 2))
-        values = su.values.copy()
-        values[outside] = size * along_x
-        yield sv, SampledField(su.n, su.domain, values, su.mask)
+
+
+def _fits_the_moment_formula(mask: np.ndarray) -> bool:
+    """Whether the mask's rows mirror in x2 and its x1 and x2 weights agree."""
+    x = _centers(SymmetricDomain.square(1.0), len(mask))
+    x1, x2 = np.meshgrid(x, x)
+    return (np.array_equal(mask, mask[::-1])
+            and math.isclose(np.sum(x1 * x1, where=mask), np.sum(x2 * x2, where=mask),
+                             rel_tol=1e-12))
 
 
 def test_detect_sampled_routes_by_the_whole_grid_residual(monkeypatch):
-    # The trial fit of the single traversal may only accept what the
-    # whole-grid residual accepts, and a misfit past its bound must fall
-    # back to that residual: every pair routes as the reference says.
+    # Masks the moment formula fits take the projection and the others the
+    # loop.  On the projection, the pattern's copy is laid out from its
+    # projection exactly when the whole-grid residual is within
+    # _LINEAR_TOL, as the Pythagorean residual says, and resampled
+    # otherwise; the field's residual does not route.
     loops = _count_loop_calls(monkeypatch)
     cfg = DetectorConfig(eps=1e-6, max_iter=1)
     routes = []
     for sv, su in _routing_pairs():
         loops.clear()
-        detect_sampled(sv, su, cfg)
-        want = 0 if _linear_by_whole_grid_residual(sv) and _linear_by_whole_grid_residual(su) else 1
-        assert len(loops) == want
-        routes.append(want)
-    assert set(routes) == {0, 1}
+        result = detect_sampled(sv, su, cfg)
+        if _fits_the_moment_formula(sv.mask):
+            assert loops == []
+            want = "laid out" if _linear_by_whole_grid_residual(su) else "resampled"
+            build = vars(result)["_corrected"].func
+            assert build is {"laid out": registration._sampled_copy,
+                             "resampled": registration._resampled_copy}[want]
+        else:
+            assert len(loops) == 1
+            want = "loop"
+        routes.append((want, _linear_by_whole_grid_residual(sv)))
+    assert {route for route, _ in routes} == {"laid out", "resampled", "loop"}
+    assert {linear for route, linear in routes if route != "loop"} == {True, False}
 
 
 @pytest.mark.parametrize("peak", [1.5 * 2.0 ** 1023, 1.2 * 2.0 ** 1022, 1.5 * 2.0 ** 1021,
@@ -950,14 +970,13 @@ def test_linear_fit_scaling_matches_ldexp_at_exponent_edges(peak):
     s = sample(field, 96)
     values = s.values * (peak / np.abs(s.values).max())
     s = SampledField(s.n, s.domain, values, s.mask)
-    fit, got_peak, e = _linear_fitter(s)(s.values)
+    fit, share, got_peak, e = _linear_fitter(s)(s.values)
     assert (got_peak, e) == _peak(s.values)
     scaled_s = SampledField(s.n, s.domain, np.ldexp(s.values, -e), s.mask)
-    want, _, zero = _linear_fitter(scaled_s)(scaled_s.values)
+    want, want_share, _, zero = _linear_fitter(scaled_s)(scaled_s.values)
     assert zero == 0
-    assert (fit is None) == (want is None)
-    if fit is not None:
-        assert [x.hex() for x in fit.coefficients()] == [x.hex() for x in want.coefficients()]
+    assert share.hex() == want_share.hex()
+    assert [x.hex() for x in fit.coefficients()] == [x.hex() for x in want.coefficients()]
 
 
 def test_linear_fit_rescales_its_sums_exactly(monkeypatch):
@@ -967,11 +986,12 @@ def test_linear_fit_rescales_its_sums_exactly(monkeypatch):
     # the fit must equal a one-block fit, scaled once, bit for bit.
     s = sample(LinearField(2.25, 0.25, -0.5, 0.25, UNIT_DISK), 256)
     assert _peak(s.values[:32])[1] < _peak(s.values)[1]
-    fit, peak, e = _linear_fitter(s)(s.values)
+    fit, share, peak, e = _linear_fitter(s)(s.values)
     monkeypatch.setattr(registration, "_BLOCK_ROWS", s.n)
-    want, want_peak, want_e = _linear_fitter(s)(s.values)
+    want, want_share, want_peak, want_e = _linear_fitter(s)(s.values)
     assert (peak, e) == (want_peak, want_e)
     assert fit.coefficients() == want.coefficients()
+    assert share == want_share
     assert [math.ldexp(a, e) for a in fit.coefficients()] == [2.25, 0.25, -0.5, 0.25]
 
 
@@ -1044,28 +1064,30 @@ COPY_SCALES = [2.0 ** -1000, 2.0 ** 1000] + [math.ldexp(0.75, e) for e in (1020,
 
 
 def test_deferred_copies_equal_the_eager_build(monkeypatch):
-    # detect and both detect_sampled routes: read later, the copy has the
-    # bytes it has when built during the call.  detect and the projection
-    # defer it exactly when the pattern's exponent is below the top four,
-    # where a copy cannot overflow; the resample route never does.
+    # detect and every detect_sampled route: read later, the copy has the
+    # bytes it has when built during the call.  detect and the laid-out
+    # copy defer it exactly when the pattern's exponent is below the top
+    # four, and the resampled copy (a 1e-3 bend) below the top one, where
+    # no copy can overflow; the loop (a constant flow) never does.
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     u = total_rotate(v, 0.7)
     cfg = DetectorConfig(eps=1e-6)
     size = max(map(abs, u.coefficients()))
+    top = sys.float_info.max_exp
     kinds = set()
     for k in COPY_SCALES:
         pattern = scaled(u, k / size)
         exp = math.frexp(max(map(abs, _coordinates(*pattern.coefficients()))))[1]
-        cases = [(lambda p=pattern: detect(v, p, cfg), exp < sys.float_info.max_exp - 3)]
-        for bend in (0.0, 1e-6):
+        cases = [("detect", lambda p=pattern: detect(v, p, cfg), exp < top - 3)]
+        for kind, bend, below in (("laid out", 0.0, top - 3), ("resampled", 1e-3, top)):
             su = _bent(sample(pattern, 32), bend * k / size)
             exp = math.frexp(np.abs(su.values).max())[1]
-            cases.append((lambda su=su: detect_sampled(sample(v, 32), su, cfg),
-                          not bend and exp < sys.float_info.max_exp - 3))
-        for call, defers in cases:
+            cases.append((kind, lambda su=su: detect_sampled(sample(v, 32), su, cfg), exp < below))
+        cases.append(("loop", lambda k=k: detect_sampled(_flow(32), _flow(32, 0.7, k), cfg), False))
+        for kind, call, defers in cases:
             r = call()
             assert (type(vars(r)["_corrected"]) is registration._Deferred) == defers
-            kinds.add((type(r.corrected), defers))
+            kinds.add((kind, defers))
             with monkeypatch.context() as m:
                 _eager_copies(m)
                 now = call().corrected
@@ -1074,8 +1096,8 @@ def test_deferred_copies_equal_the_eager_build(monkeypatch):
             else:
                 assert r.corrected.values.tobytes() == now.values.tobytes()
                 assert r.corrected.mask is now.mask
-    assert kinds == {(LinearField, True), (LinearField, False),
-                     (SampledField, True), (SampledField, False)}
+    assert kinds == {(kind, defers) for kind in ("detect", "laid out", "resampled")
+                     for defers in (True, False)} | {("loop", False)}
 
 
 def test_detect_sampled_copy_matches_its_grid_reference(monkeypatch):
@@ -1098,44 +1120,75 @@ def test_detect_sampled_copy_matches_its_grid_reference(monkeypatch):
         assert r.corrected.values.tobytes() == want.tobytes()
 
 
-def _column(component: int, peak: float, n: int = 64) -> SampledField:
-    """peak in one component on the one-column mask at x1 = h/2, zero elsewhere."""
-    mask = np.zeros((n, n), bool)
-    mask[:, n // 2] = True
-    values = np.zeros((n, n, 2))
-    values[:, n // 2, component] = peak
-    return SampledField(n, SymmetricDomain.square(1.0), values, mask)
+def _turned_flow(k: float, t: float):
+    """k times a small linear field plus the flow (0, 1), totally turned by t."""
+    c, s = math.cos(t), math.sin(t)
+
+    def field(x1, x2):
+        y1, y2 = c * x1 + s * x2, -s * x1 + c * x2
+        w1 = 0.05 * y1 - 0.02 * y2
+        w2 = 0.03 * y1 + 0.04 * y2 + 1.0
+        return k * c * w1 - k * s * w2, k * s * w1 + k * c * w2
+
+    return field
 
 
 def test_detect_sampled_refuses_during_the_call_a_copy_that_outgrows_its_samples():
-    # On a one-column mask the projection's copy peaks 63 times above its
-    # samples.  At a peak of 1.5 * 2**1018, below the top exponents, it
-    # overflows, and is refused during the call, not when it is read.
+    # Both routes.  The loop: a constant flow (k, k) turned onto (0, 1)
+    # peaks sqrt(2) times above its samples.  The projection: a flow
+    # plus a small linear part, an eighth of a turn away, is not linear,
+    # so its copy is resampled; it peaks 1.37 times above its samples.
+    # Each overflows at a peak in the top exponent and is refused during
+    # the call; below that, each copy is returned, above its samples, and
+    # the projection's waits until it is read.
     cfg = DetectorConfig(eps=1e-6)
+    up = sample(lambda x1, x2: (np.zeros_like(x1), np.ones_like(x2)), 16, UNIT_DISK)
+    field = sample(_turned_flow(1.0, 0.0), 32, UNIT_DISK)
+
+    def flow(k):
+        return sample(lambda x1, x2: (np.full_like(x1, k), np.full_like(x2, k)), 16, UNIT_DISK)
+
+    def flow_sum(k):
+        return sample(_turned_flow(k, -math.pi / 4), 32, UNIT_DISK)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="pattern samples .* too large"):
-            detect_sampled(_column(0, 1.0), _column(1, 1.5 * 2.0 ** 1018), cfg)
-        at_edge = detect_sampled(_column(0, 1.0), _column(1, 2.0 ** 1018), cfg)
-        assert np.abs(at_edge.corrected.values).max() == 63.0 * 2.0 ** 1018
-        below = detect_sampled(_column(0, 1.0), _column(1, 2.0 ** 1016), cfg)
-    assert type(vars(below)["_corrected"]) is registration._Deferred
-    assert np.abs(below.corrected.values).max() == 63.0 * 2.0 ** 1016
+        for v, u in ((up, flow(1.3e308)), (field, flow_sum(1.75e308))):
+            with pytest.raises(ValueError, match="pattern samples .* too large"):
+                detect_sampled(v, u, cfg)
+        returned = [(detect_sampled(v, u, cfg), u, ratio, defers) for v, u, ratio, defers in (
+            (up, flow(1.2e308), 1.414, False), (field, flow_sum(1.2e308), 1.368, False),
+            (field, flow_sum(2.0 ** 1016), 1.368, True))]
+    for r, u, ratio, defers in returned:
+        assert (type(vars(r)["_corrected"]) is registration._Deferred) == defers
+        assert r.converged()
+        assert np.isfinite(r.corrected.values).all()
+        assert np.abs(r.corrected.values).max() >= ratio * np.abs(u.values).max()
+
+
+def _route_pairs():
+    """(v, u, resampled) on each route: projection with a laid-out or a resampled copy, loop."""
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    yield sample(v, 32), sample(total_rotate(v, 0.4), 32), False
+    yield sample(v, 32), _bent(sample(total_rotate(v, 0.4), 32), 1e-3), True
+    yield _flow(32), _flow(32, 0.4), False
 
 
 def test_detect_sampled_results_hold_no_sample_values():
-    # Both routes: once the samples are dropped, their values are freed,
-    # and the copy is still there to read.
-    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
-    for bend in (0.0, 1e-6):
-        sv, su = sample(v, 32), _bent(sample(total_rotate(v, 0.4), 32), bend)
+    # Every route: once the samples are dropped, their values are freed,
+    # and the copy is still there to read.  A pattern whose copy is
+    # resampled is the exception: it is held until the copy is read.
+    cfg = DetectorConfig(eps=1e-6, max_iter=6)
+    for sv, su, resampled in _route_pairs():
         refs = [weakref.ref(sv.values), weakref.ref(su.values)]
-        result = detect_sampled(sv, su, DetectorConfig(eps=1e-6, max_iter=6))
-        want = detect_sampled(sv, su, DetectorConfig(eps=1e-6, max_iter=6)).corrected.values
+        result = detect_sampled(sv, su, cfg)
+        want = detect_sampled(sv, su, cfg).corrected.values
         del sv, su
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() is None for ref in refs] == [True, not resampled]
         assert result.corrected.values.tobytes() == want.tobytes()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 def test_detect_sampled_results_pickle_and_replace_before_the_copy_is_read():
@@ -1155,17 +1208,15 @@ def test_detect_sampled_results_pickle_and_replace_before_the_copy_is_read():
 
 
 def test_library_built_samples_skip_the_finite_check(monkeypatch):
-    # Both routes: the copies the detector builds from finite samples are
+    # Every route: the copies the detector builds from finite samples are
     # not checked again; samples handed in still are.
     checks = []
     check = SampledField.__post_init__
+    pairs = list(_route_pairs())
     monkeypatch.setattr(SampledField, "__post_init__",
                         lambda self: checks.append(self) or check(self))
-    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
-    sv, su = sample(v, 32), _bent(sample(total_rotate(v, 0.4), 32), 1e-6)
-    for pattern in (sample(total_rotate(v, 0.4), 32), su):
-        checks.clear()
-        result = detect_sampled(sv, pattern, DetectorConfig(eps=1e-6, max_iter=6))
+    for sv, su, _ in pairs:
+        result = detect_sampled(sv, su, DetectorConfig(eps=1e-6, max_iter=6))
         result.corrected
         assert checks == []
     SampledField(sv.n, sv.domain, sv.values, sv.mask)
@@ -1206,24 +1257,130 @@ def test_detect_sampled_projects_linear_samples(domain, monkeypatch):
     assert loops == []
 
 
+def _turned(field, t: float):
+    """The closure field totally rotated by t: R(t) f(R(-t) x)."""
+    c, s = math.cos(t), math.sin(t)
+
+    def turned(x1, x2):
+        w1, w2 = field(c * x1 + s * x2, -s * x1 + c * x2)
+        return c * w1 - s * w2, s * w1 + c * w2
+
+    return turned
+
+
+# Terms added to a linear field: class k = -1, 0 and 1 of the power
+# series, and none where the samples get noise instead.
+NONLINEAR_TERMS = {
+    "z^2": lambda x1, x2: (0.3 * (x1 * x1 - x2 * x2), 0.6 * x1 * x2),
+    "|x|^2 x": lambda x1, x2: (0.5 * (x1 * x1 + x2 * x2) * x1, 0.5 * (x1 * x1 + x2 * x2) * x2),
+    "|x|^2 e1": lambda x1, x2: (0.3 * (x1 * x1 + x2 * x2), 0.0 * x2),
+    "noise 1e-6": lambda x1, x2: (0.0 * x1, 0.0 * x2),
+}
+
+
+def _nonlinear_pairs(domain, n: int, draws: int):
+    """(name, v, u, offset): a random linear field plus each term, and its copy turned by offset.
+
+    The noise is Gaussian, 1e-6 of each sample's peak, inside the mask.
+    """
+    rng = np.random.default_rng(2222)
+    for name, term in NONLINEAR_TERMS.items():
+        for _ in range(draws):
+            a11, a12, a21, a22 = rng.uniform(-1.0, 1.0, 4)
+            offset = float(rng.uniform(-1.5, 1.5))
+
+            def field(x1, x2, a11=a11, a12=a12, a21=a21, a22=a22, term=term):
+                t1, t2 = term(x1, x2)
+                return a11 * x1 + a12 * x2 + t1, a21 * x1 + a22 * x2 + t2
+
+            v, u = sample(field, n, domain), sample(_turned(field, offset), n, domain)
+            if name.startswith("noise"):
+                v, u = (SampledField(n, domain, x.values + np.where(
+                    x.mask[..., None], rng.normal(0.0, 1e-6 * np.abs(x.values).max(), x.values.shape),
+                    0.0), x.mask) for x in (v, u))
+            yield name, v, u, offset
+
+
+@pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), UNIT_DISK])
+def test_detect_sampled_projects_nonlinear_samples(domain, monkeypatch):
+    # Non-linear samples are answered by detect on their two projections,
+    # never by the loop.  On the disk the projection commutes with total
+    # rotation; on the square it does not, yet every converged draw lands
+    # within 1e-5 of its offset (mod pi).  A draw may cap, but none
+    # converges further off.  The copy is the pattern resampled once at
+    # the answer, turned back onto the field as the loop turns it.
+    loops = _count_loop_calls(monkeypatch)
+    cfg = DetectorConfig(eps=1e-8, max_iter=2000)
+    statuses = []
+    for name, sv, su, offset in _nonlinear_pairs(domain, 64, 3):
+        fit = _linear_fitter(sv)
+        (v_fit, v_share, _, _), (u_fit, u_share, _, _) = fit(sv.values), fit(su.values)
+        assert 1.0 - u_share > registration._LINEAR_TOL ** 2
+        want = detect(v_fit, u_fit, cfg)
+        got = detect_sampled(sv, su, cfg)
+        assert got.alpha.hex() == want.alpha.hex()
+        assert (got.iterations, got.status) == (want.iterations, want.status)
+        assert got.corrected.values.tobytes() == _resampler(su)(-got.alpha).values.tobytes()
+        statuses.append(got.status)
+        if got.converged():
+            assert angle_distance_mod_pi(got.alpha, offset) <= 1e-5, name
+        else:
+            assert got.status is DetectionStatus.MAX_ITER_EXCEEDED
+    assert loops == []
+    assert len(statuses) == 12 and DetectionStatus.CONVERGED in statuses
+
+
+def test_detect_sampled_loops_where_the_projection_cannot_answer(monkeypatch):
+    # A constant flow and the double winding project to zero.  Two masks
+    # do not fit the moment formula: a square without one corner, whose
+    # rows do not mirror in x2 (its x1 and x2 weights are equal, as it is
+    # its own transpose), and a square without its left columns, whose
+    # rows mirror but whose weights differ.  All four reach the loop, and
+    # answer as it does when called directly.
+    loops = _count_loop_calls(monkeypatch)
+    cfg = DetectorConfig(eps=1e-6, max_iter=50)
+    flow = detect_sampled(_flow(32), _flow(32, 0.4), cfg)
+    assert len(loops) == 1
+    assert flow.converged() and abs(flow.alpha - 0.4) <= 1e-12
+
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    pairs = [[sample(double_winding(t), 64, UNIT_DISK) for t in (0.0, 0.3)]]
+    for cut in (np.s_[:8, :8], np.s_[:, :8]):
+        mask = np.ones((32, 32), bool)
+        mask[cut] = False
+        pairs.append([SampledField(32, v.domain, np.where(mask[..., None], s.values, 0.0), mask)
+                      for s in (sample(v, 32), sample(total_rotate(v, 0.4), 32))])
+    for sv, su in pairs:
+        loops.clear()
+        got = detect_sampled(sv, su, cfg)
+        assert len(loops) == 1
+        want = registration._detect_by_resampling(sv, su, cfg)
+        assert got.alpha.hex() == want.alpha.hex()
+        assert (got.iterations, got.status) == (want.iterations, want.status)
+    for sv, su in pairs[1:]:
+        assert abs(detect_sampled(sv, su, cfg).alpha - 0.4) <= 1e-3
+
+
 def _with_outside_value(s: SampledField) -> SampledField:
+    """s with one value in two opposite corner cells, outside the disk: their moments cancel."""
     values = s.values.copy()
-    values[0, 0] = (0.25, -0.5)   # a corner cell, outside the disk
+    values[0, 0] = values[-1, -1] = (0.25, -0.5)
     return SampledField(s.n, s.domain, values, s.mask)
 
 
 @pytest.mark.parametrize("kind", ["double-winding", "quadratic-bend", "outside-value"])
 def test_detect_sampled_loops_over_nonlinear_samples(kind, monkeypatch):
+    # The double winding has no linear part, and neither has it bent by
+    # x1*x2 in one component, or with values outside the disk whose
+    # moments cancel, so all three reach the loop with their samples.
     loops = _count_loop_calls(monkeypatch)
     cfg = DetectorConfig(eps=1e-6, max_iter=6)
-    if kind == "double-winding":
-        sv = sample(double_winding(), 32, UNIT_DISK)
-        su = sample(double_winding(0.4), 32, UNIT_DISK)
-    else:
-        domain = UNIT_DISK if kind == "outside-value" else SymmetricDomain.square(1.0)
-        v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
-        sv, su = sample(v, 32), sample(total_rotate(v, 0.4), 32)
-        su = _bent(su, 1e-6) if kind == "quadratic-bend" else _with_outside_value(su)
+    sv = sample(double_winding(), 32, UNIT_DISK)
+    su = sample(double_winding(0.4), 32, UNIT_DISK)
+    if kind == "quadratic-bend":
+        su = _bent(su, 1e-6)
+    if kind == "outside-value":
+        su = _with_outside_value(su)
     want = _detect_by_resampling(sv, su, cfg)
     got = detect_sampled(sv, su, cfg)
     assert len(loops) == 1
@@ -1548,12 +1705,11 @@ def test_detection_results_compare_hash_replace_and_pickle_by_their_trace():
 
 
 def test_detect_sampled_results_compare_by_value_and_do_not_hash():
-    # Both routes: linear samples (projection) and bent ones (resample loop).
+    # Every route: linear and bent samples (projection) and flows (loop).
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
-    sv, su = sample(v, 16), sample(total_rotate(v, 0.4), 16)
     cfg = DetectorConfig(eps=1e-6)
-    other = detect_sampled(sv, sample(total_rotate(v, 0.5), 16), cfg)
-    for pattern in (su, _bent(su, 1e-3)):
+    other = detect_sampled(sample(v, 32), sample(total_rotate(v, 0.5), 32), cfg)
+    for sv, pattern, _ in _route_pairs():
         result = detect_sampled(sv, pattern, cfg)
         assert result == detect_sampled(sv, pattern, cfg)
         assert result != other
@@ -1564,7 +1720,7 @@ def test_detect_sampled_results_compare_by_value_and_do_not_hash():
 
 def test_detect_sampled_trace_matches_an_eager_reference(monkeypatch):
     # Both routes: the reference runs on the inputs detect_sampled hands
-    # to detect (linear samples) or to the resample loop (bent samples).
+    # to detect (linear and bent samples) or to the resample loop (flows).
     handed = []
     for name, reference in (("detect", _eager_linear_trace),
                             ("_detect_by_resampling", _eager_resampled_trace)):
@@ -1576,7 +1732,8 @@ def test_detect_sampled_trace_matches_an_eager_reference(monkeypatch):
     pairs = [(sample(v, 16), sample(u, 16)) for v, u in list(_trace_families())[::3]]
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     bent = _bent(sample(v, 16), 1e-3)
-    pairs += [(sample(v, 16), _bent(sample(total_rotate(v, 0.4), 16), 1e-3)), (bent, bent)]
+    pairs += [(sample(v, 16), _bent(sample(total_rotate(v, 0.4), 16), 1e-3)), (bent, bent),
+              (_flow(16), _flow(16, 0.4)), (_flow(16), _bent(_flow(16, 0.4), 1e-3))]
     routes = set()
     for sv, su in pairs:
         for cfg in TRACE_CONFIGS[::2] + [TRACE_CONFIGS[-1]]:
