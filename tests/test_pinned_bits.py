@@ -10,12 +10,17 @@ every bit.  It hashes
 * the bytes of ``rotalign sample`` (a field and the ``counterexample``
   preset, each with ``--rotated-out``);
 * the bytes of ``rotalign experiment`` as CSV and as JSON, to a file and
-  to stdout.
+  to stdout;
+* ``detect_sampled`` on linear and non-linear pairs, on the square and
+  the disk, at scales 2**-300, 1e-5, 1, 3.7 and 2**300, and on pairs
+  with no linear part, which reach the resample loop: alpha, iterations,
+  status, trace and the bytes of ``corrected``.
 
 A change that claims to keep outputs bit for bit must pass it unedited.
 """
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -24,17 +29,21 @@ from rotalign.cli import main
 from rotalign.fields import (
     LinearField,
     SymmetricDomain,
+    double_winding,
     eval_field,
     inner_rotate,
     outer_rotate,
+    sample,
     total_rotate,
 )
-from rotalign.registration import oracle_detect
+from rotalign.registration import DetectorConfig, detect_sampled, oracle_detect
 
 PAIRS = 300
 
 NUMERIC_DIGEST = "720d6f3bda98404f1281a8163bec24c4e8c0543a63d75f778565073f72b9c8bc"
 CLI_DIGEST = "5b5226ce09ff1132ce8c9dfee42970d00177ad2194b9f5b8a4eac486e4f2eb8e"
+SAMPLED_DIGEST = "98e1ad42ad2b0f4e3962b965a6feebb7fd91558fd95239b3d0e2b48a3e03eedf"
+SAMPLED_SCALES = (2.0 ** -300, 1e-5, 1.0, 3.7, 2.0 ** 300)
 
 
 def _pairs():
@@ -98,3 +107,65 @@ def test_cli_outputs_are_pinned(tmp_path, capsys):
     run(*campaign)
     run(*campaign, "--coeff-space", "--format", "json")
     assert digest.hexdigest() == CLI_DIGEST
+
+
+def _turned(field, t: float):
+    """The closure of field totally rotated by t: x -> R(t) field(R(-t) x)."""
+    c, s = math.cos(t), math.sin(t)
+
+    def turned(x1, x2):
+        f1, f2 = field(c * x1 + s * x2, -s * x1 + c * x2)
+        return c * f1 - s * f2, s * f1 + c * f2
+
+    return turned
+
+
+def _sampled_pairs():
+    """(v, u, cfg): sample pairs for every route of ``detect_sampled``, at each scale.
+
+    Per domain and scale: a linear field against its turned copy (the
+    laid-out copy), the same plus 0.5 |x|^2 x (the resampled copy), and
+    a constant flow (the loop).  On the disk, the double winding too (the
+    loop, capped).  n = 40 leaves a partial row block.
+    """
+    rng = np.random.default_rng(2323)
+    n = 40
+    for domain in (SymmetricDomain.square(1.0), SymmetricDomain.disk(1.0)):
+        for k in SAMPLED_SCALES:
+            a11, a12, a21, a22 = (k * rng.uniform(-1.0, 1.0, 4)).tolist()
+            t = float(rng.uniform(-1.5, 1.5))
+            cfg = DetectorConfig(eps=1e-8, max_iter=200)
+            v = LinearField(a11, a12, a21, a22, domain)
+            yield sample(v, n), sample(total_rotate(v, t), n), cfg
+
+            def bent(x1, x2):
+                r = 0.5 * k * (x1 * x1 + x2 * x2)
+                return a11 * x1 + a12 * x2 + r * x1, a21 * x1 + a22 * x2 + r * x2
+
+            yield sample(bent, n, domain), sample(_turned(bent, t), n, domain), cfg
+
+            def flow(x1, x2, g=(k * 0.6, -k * 0.3)):
+                return np.full_like(x1, g[0]), np.full_like(x2, g[1])
+
+            cfg = DetectorConfig(eps=1e-8, max_iter=12)
+            yield sample(flow, n, domain), sample(_turned(flow, t), n, domain), cfg
+            if domain.kind == "disk":
+                def winding(x1, x2, w=double_winding()):
+                    w1, w2 = w(x1, x2)
+                    return k * w1, k * w2
+
+                yield (sample(winding, n, domain), sample(_turned(winding, t), n, domain),
+                       DetectorConfig(eps=1e-8, max_iter=5))
+
+
+def test_detect_sampled_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for v, u, cfg in _sampled_pairs():
+        r = detect_sampled(v, u, cfg)
+        digest.update(f"{r.iterations} {r.status.value}".encode())
+        _floats(digest, [r.alpha])
+        for entry in r.trace:
+            _floats(digest, [entry.phi, entry.alpha_after])
+            digest.update(str(entry.branch).encode())
+        digest.update(r.corrected.values.tobytes())
+    assert digest.hexdigest() == SAMPLED_DIGEST
