@@ -49,7 +49,8 @@ Linear fields are closed under total rotation, so the loop updates the
 copy exactly (the saddle coefficient pair rotates by 2*phi) instead of
 resampling.  ``detect_sampled`` is the grid-backed entry point.  It
 projects both samples onto linear fields by four grid moments, reading
-each sample once for its peak, its moments and its energy.  The
+each sample once for its moments and its energy, unscaled unless the
+energy leaves a window far inside the double range.  The
 least-squares projection is the degree-1 term of a field's power
 series, and on a disk it commutes with total rotation, so whenever
 neither projection is degenerate it answers with ``detect`` on the
@@ -77,6 +78,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
@@ -87,6 +89,7 @@ import numpy as np
 
 from .correlation import correlate_sampled, second_moment
 from .fields import (
+    _MASKS,
     DomainMismatchError,
     LinearField,
     SampledField,
@@ -576,7 +579,8 @@ def _resampler(original: SampledField) -> Callable[[float], SampledField]:
     corner then lands in the margin, so every lookup is a plain gather.
     Approximate by nature, unlike the linear-field path.  The copies are
     not checked for finite values: the detector's samples peak below 1,
-    and an interpolated, rotated value stays below 1.5.
+    or below 2**450 where they are not scaled, and an interpolated,
+    rotated value stays below 1.5 times the peak.
     """
     n = original.n
     length = original.domain.bounding_half_side
@@ -639,61 +643,115 @@ def _peak(values: np.ndarray) -> tuple:
     return peak, math.frexp(peak)[1]
 
 
-def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
-    """Prepare ``fit(values)`` for samples on ``grid``'s cells and mask.
+# (domain, n) -> (a weak reference to the mask ``sample`` shares on that
+# grid, its weight W, whether the moment formula fits it).
+_MASK_CONSTANTS = {}
 
-    ``fit`` returns (field, share, peak, exp): peak and exp as ``_peak``
-    gives them, the least-squares linear field of values * 2**-exp, and
-    the share of those scaled values' energy that it holds.  On a mask
-    whose rows mirror in x2 and whose x1 and x2 weights are equal (every
-    domain's mask is one), sum x1*x2 = 0 and sum x1^2 = sum x2^2 = W over
-    the masked cells, so least squares gives a_ij = sum v_i x_j / W and
-    holds W * sum a_ij^2 of the energy (Pythagoras, so the share needs
-    no pass over a residual).  On any other mask, or a zero sample,
-    ``fit`` reads only the peak and returns (None, 0.0, peak, exp).  The
-    moments and the energy run over every cell, which is the masked grid
-    when the cells outside the domain hold zero, as ``sample`` leaves
-    them.
 
-    One traversal reads each value once, in blocks of ``_BLOCK_ROWS``
-    rows.  A block raises the running peak and is scaled by 2**-exp of
-    it into one cache-sized buffer; what was summed at a smaller
-    exponent is rescaled by a power of two, which is exact.  The block
-    then adds its column sums and x2-weighted rows (one ``[1; x2] @
-    block`` product) and its energy.
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    """Drop the constants kept under key when ref's mask is collected."""
+    if _MASK_CONSTANTS.get(key, (None,))[0] is ref:
+        del _MASK_CONSTANTS[key]
+
+
+def _mask_constants(grid: SampledField, x: np.ndarray) -> tuple:
+    """(W, projects): the sum of x1^2 over the mask's cells, and whether the moment formula fits it.
+
+    The read-only mask that ``sample`` shares on a (domain, n) grid gets
+    them once, kept while the mask lives; any other mask pays them per
+    call.  x holds the grid's centers.
     """
-    n = grid.n
-    x = grid.centers()
-    squares = x * x
+    key = grid.domain, grid.n
     mask = grid.mask
+    kept = _MASK_CONSTANTS.get(key)
+    if kept is not None and kept[0]() is mask:
+        return kept[1:]
+    squares = x * x
     cells_in = mask.view(np.uint8)
     weight = float(cells_in.sum(axis=0, dtype=np.uint32) @ squares)
     projects = bool(weight and float(cells_in.sum(axis=1, dtype=np.uint32) @ squares) == weight
                     and np.array_equal(mask, mask[::-1]))
+    if mask is _MASKS.get(key) and not mask.flags.writeable:
+        _MASK_CONSTANTS[key] = (weakref.ref(mask, partial(_forget, key)), weight, projects)
+    return weight, projects
+
+
+# The window in which ``fit`` sums a sample unscaled: its energy E and
+# E / W both within (2**-900, 2**900).  A domain's half side lies in
+# (2**-256, 2**256), as its second moment is a normal double, so for
+# n < 2**16 every center lies in (2**-272, 2**256) in size.  In the window
+# the peak p lies in (2**-467, 2**450), as p^2 <= E <= 2 n^2 p^2; p times
+# a center lies in (2**-739, 2**706) and a moment is below 2**738.  As
+# W * sum a_ij^2 <= E, each coefficient is below 2**450, and a projection
+# holding more than 1e-12 of E has W * sum a_ij^2 and sum a_ij^2 above
+# 2**-940.  So the terms of the peak's size, their sums and the fit and
+# share made of them are normal doubles, and round as they do on the
+# samples scaled by a power of two: the fit is the scaled fit times that
+# power, and the share is the same.  Terms more than 2**-250 below the
+# peak may round otherwise, where one of the two underflows; they change
+# a sum only where no larger term enters it (a component far below the
+# other).
+_WINDOW = 2.0 ** 900
+
+
+def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
+    """Prepare ``fit(values)`` for samples on ``grid``'s cells and mask.
+
+    ``fit`` returns (field, share, exp): the least-squares linear field
+    of values * 2**-exp and the share of those values' energy that it
+    holds.  On a mask whose rows mirror in x2 and whose x1 and x2
+    weights are equal (every domain's mask is one), sum x1*x2 = 0 and
+    sum x1^2 = sum x2^2 = W over the masked cells, so least squares
+    gives a_ij = sum v_i x_j / W and holds W * sum a_ij^2 of the energy
+    (Pythagoras, so the share needs no pass over a residual).  On any
+    other mask ``fit`` reads nothing and returns (None, 0.0, 0), as it
+    does for a zero sample.  The moments and the energy run over every
+    cell, which is the masked grid when the cells outside the domain
+    hold zero, as ``sample`` leaves them.
+
+    One traversal reads each value once, in blocks of ``_BLOCK_ROWS``
+    rows, and adds the block's column sums and x2-weighted rows (one
+    ``[1; x2] @ block`` product) and its energy.  It sums the samples as
+    they are, with exp = 0, wherever their energy lies in the window
+    derived at ``_WINDOW``; only a sample outside it (a zero sample, a
+    subnormal peak, a peak near overflow) has ``_peak`` read and the
+    traversal rerun on blocks scaled by 2**-exp of it into one
+    cache-sized buffer.
+    """
+    n = grid.n
+    x = grid.centers()
+    weight, projects = _mask_constants(grid, x)
     ones_x2 = np.stack([np.ones(n), x])
-    buffer = np.empty((min(n, _BLOCK_ROWS), 2 * n))
+    blocks = _blocks(n)
+    low = max(1.0, weight) / _WINDOW
+    high = min(1.0, weight) * _WINDOW
+
+    def sums(rows: np.ndarray, exp: int) -> tuple:
+        """The moments and the energy of rows * 2**-exp."""
+        moments = np.zeros((2, 2 * n))
+        energy = 0.0
+        buffer = np.empty((min(n, _BLOCK_ROWS), 2 * n)) if exp else None
+        for block_rows in blocks:
+            block = rows[block_rows]
+            if exp:
+                block = _scaled(block, -exp, buffer[:len(block)])
+            moments += ones_x2[:, block_rows] @ block
+            energy += np.vdot(block, block)
+        return moments, energy
 
     def fit(values: np.ndarray) -> tuple:
         if not projects:
-            return (None, 0.0, *_peak(values))
+            return None, 0.0, 0
         rows = values.reshape(n, 2 * n)
-        moments = np.zeros((2, 2 * n))
-        energy = peak = 0.0
+        # Outside the window the sums may overflow; they are then not used.
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments, energy = sums(rows, 0)
         exp = 0
-        for block_rows in _blocks(n):
-            source = rows[block_rows]
-            block_peak, shift = _peak(source)
-            if block_peak > peak:
-                if peak and shift != exp:
-                    # Rescale what was summed at 2**-exp.
-                    _scaled(moments, exp - shift, moments)
-                    energy = math.ldexp(energy, 2 * (exp - shift))
-                peak, exp = block_peak, shift
-            block = _scaled(source, -exp, buffer[:len(source)])
-            moments += ones_x2[:, block_rows] @ block
-            energy += np.vdot(block, block)
-        if not peak:
-            return None, 0.0, peak, exp
+        if not low < energy < high:
+            peak, exp = _peak(values)
+            if not peak:
+                return None, 0.0, 0
+            moments, energy = sums(rows, exp)
         # (a11, a21): weight the column sums by x1.  (a12, a22): sum the
         # x2-weighted rows over the cells.
         along_x1 = x @ moments[0].reshape(n, 2) / weight
@@ -701,7 +759,7 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
         linear = LinearField(float(along_x1[0]), float(along_x2[0]),
                              float(along_x1[1]), float(along_x2[1]), grid.domain)
         share = weight * float(along_x1 @ along_x1 + along_x2 @ along_x2) / energy
-        return linear, share, peak, exp
+        return linear, share, exp
 
     return fit
 
@@ -715,45 +773,45 @@ def detect_sampled(v: SampledField, u: SampledField,
                    cfg: DetectorConfig = DetectorConfig()) -> DetectionResult:
     """Grid-backed detection: ``detect`` on the samples' linear projections.
 
-    Each field is scaled by a power of two, so the answer is the same at
-    any scale, and projected onto a linear field (``_linear_fitter``,
-    which scales it block by block).  On a disk the projection commutes
-    with total rotation; on a square, which a turn does not map to
-    itself, only approximately.  When neither projection is degenerate
-    (each holds more than ``_DEGENERATE_TOL`` = 1e-12 of its scaled
-    sample's energy) the answer is ``detect`` on the two projections,
-    and no scaled copy of either sample is made.  ``corrected`` is then
-    built when first read: for a pattern within ``_LINEAR_TOL`` = 1e-6
-    of its projection (relative residual over all cells), the masked
-    samples of detect's corrected field; for any other, the pattern
-    resampled once at the answer, and the result holds the pattern
-    until then.  A pair with a degenerate projection, or on a mask the
-    moment formula does not fit, makes both scaled copies instead, and
-    ``_detect_by_resampling`` runs the loop on them; ``corrected`` is
-    its last resampled copy.  Either way ``corrected`` is scaled back to
-    the pattern's scale.  A turned copy can peak above the samples, and a
-    pattern whose copy would then overflow is refused with
-    ``ValueError`` during the call.
+    Each field is projected onto a linear field (``_linear_fitter``,
+    which sums the samples as they are wherever their energy allows and
+    scales them by a power of two elsewhere), so the answer is the same
+    at any scale.  On a disk the projection commutes with total
+    rotation; on a square, which a turn does not map to itself, only
+    approximately.  When neither projection is degenerate (each holds
+    more than ``_DEGENERATE_TOL`` = 1e-12 of its sample's energy) the
+    answer is ``detect`` on the two projections, and no copy of either
+    sample is made.  ``corrected`` is then built when first read: for a
+    pattern within ``_LINEAR_TOL`` = 1e-6 of its projection (relative
+    residual over all cells), the masked samples of detect's corrected
+    field; for any other, the pattern resampled once at the answer, and
+    the result holds the pattern until then.  A resampled copy reads
+    zero where a turned position falls outside the grid, so on the
+    square the corners turned in from outside are zero-filled, and
+    ``corrected`` can lie farther from the field than the pattern does.
+    A pair with a degenerate projection, or on a mask the moment formula
+    does not fit, has both samples' peaks read and makes copies scaled by
+    their powers of two, and ``_detect_by_resampling`` runs the loop on
+    them; ``corrected`` is its last resampled copy.  Either way
+    ``corrected`` is at the pattern's scale.  A turned copy can peak
+    above the samples, and a pattern whose copy would then overflow is
+    refused with ``ValueError`` during the call.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
     fit = _linear_fitter(v)
-    v_fit, v_share, v_peak, v_exp = fit(v.values)
-    if v_peak == 0.0:
-        raise DegenerateZeroFieldError("cannot align against the zero field")
-    if v_share <= _DEGENERATE_TOL:
-        u_fit, u_share = None, 0.0
-        u_peak, u_exp = _peak(u.values)
-    else:
-        u_fit, u_share, u_peak, u_exp = fit(u.values)
-    del fit  # and its block buffer, before any full-size copy is made
-    if u_peak == 0.0:
-        raise DegenerateZeroFieldError("cannot align a zero pattern")
+    v_fit, v_share, _ = fit(v.values)
+    u_fit, u_share, u_exp = fit(u.values) if v_share > _DEGENERATE_TOL else (None, 0.0, 0)
 
     # A turned copy can peak above its pattern (by up to sqrt(2) for a
     # saddle on the square), so it may overflow where the samples did not.
     try:
         if u_share <= _DEGENERATE_TOL:
+            (v_peak, v_exp), (u_peak, u_exp) = _peak(v.values), _peak(u.values)
+            if v_peak == 0.0:
+                raise DegenerateZeroFieldError("cannot align against the zero field")
+            if u_peak == 0.0:
+                raise DegenerateZeroFieldError("cannot align a zero pattern")
             result = _detect_by_resampling(
                 SampledField._unchecked(v.n, v.domain, _scaled(v.values, -v_exp, None), v.mask),
                 SampledField._unchecked(u.n, u.domain, _scaled(u.values, -u_exp, None), u.mask),
@@ -772,13 +830,13 @@ def detect_sampled(v: SampledField, u: SampledField,
                                            f"{_DEGENERATE_TOL!r} of their norms")
         result = detect(v_fit, u_fit, cfg)
         if 1.0 - u_share > _LINEAR_TOL * _LINEAR_TOL:
-            # Scaled, a resampled value is below sqrt(2), so only a peak
-            # at the top exponent can overflow its copy.
+            # A resampled value is below sqrt(2) times the peak, so only a
+            # peak at the top exponent, scaled there, can overflow its copy.
             corrected = _when_read(u_exp >= _MAX_EXP, _resampled_copy, u, u_exp, -result.alpha)
         else:
             linear = result.corrected
-            # Every value a11*x1 + a12*x2 or a21*x1 + a22*x2 of the scaled
-            # copy is at most reach, as |x1|, |x2| < L.  Where reach * 2**u_exp
+            # Every value a11*x1 + a12*x2 or a21*x1 + a22*x2 of the copy of
+            # the fit is at most reach, as |x1|, |x2| < L.  Where reach * 2**u_exp
             # stays below 2**(_MAX_EXP - 1), a binade short of overflow, and
             # u_exp below the top four exponents, the copy waits to be read.
             reach = (max(abs(linear.a11) + abs(linear.a12), abs(linear.a21) + abs(linear.a22))
@@ -786,7 +844,7 @@ def detect_sampled(v: SampledField, u: SampledField,
             eager = u_exp >= _MAX_EXP - 3 or math.frexp(reach)[1] + u_exp >= _MAX_EXP
             corrected = _when_read(eager, _sampled_copy, linear, u_exp, u.n, u.domain, u.mask)
     except FloatingPointError:
-        raise ValueError(f"pattern samples (peak {u_peak!r}) are too large: their "
+        raise ValueError(f"pattern samples (peak {_peak(u.values)[0]!r}) are too large: their "
                          f"corrected copy overflows") from None
     return replace(result, corrected=corrected)
 
@@ -798,9 +856,10 @@ def _sampled_copy(linear: LinearField, exp: int, n: int, domain: SymmetricDomain
     Raises ``FloatingPointError`` if a value overflows.
     """
     x = _centers(domain, n)
-    values = _grid_values(linear, x, x, mask)
     with np.errstate(over="raise"):
-        _scaled(values, exp, values)
+        values = _grid_values(linear, x, x, mask)
+        if exp:
+            _scaled(values, exp, values)
     return SampledField._unchecked(n, domain, values, mask)
 
 
@@ -809,6 +868,8 @@ def _resampled_copy(pattern: SampledField, exp: int, theta: float) -> SampledFie
 
     Raises ``FloatingPointError`` if a value overflows.
     """
+    if not exp:
+        return _resampler(pattern)(theta)
     scaled = _scaled(pattern.values, -exp, None)
     copy = _resampler(SampledField._unchecked(pattern.n, pattern.domain, scaled, pattern.mask))(theta)
     with np.errstate(over="raise"):

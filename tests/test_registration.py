@@ -860,9 +860,8 @@ def test_linear_fit_recovers_sampled_coefficients(domain, n):
     for scale in (1.0, 1e-3, 7.5):
         f = LinearField(*(scale * rng.uniform(-1, 1, 4)), domain)
         s = sample(f, n)
-        # The fit is of the samples times 2**-e, e of their peak.
-        fit, share, peak, e = _linear_fitter(s)(s.values)
-        assert (peak, e) == _peak(s.values)
+        # The fit is of the samples times 2**-e.
+        fit, share, e = _linear_fitter(s)(s.values)
         assert 1.0 - share <= registration._LINEAR_TOL ** 2
         assert fit.domain == domain
         worst = max(abs(math.ldexp(a, e) - b)
@@ -970,29 +969,164 @@ def test_linear_fit_scaling_matches_ldexp_at_exponent_edges(peak):
     s = sample(field, 96)
     values = s.values * (peak / np.abs(s.values).max())
     s = SampledField(s.n, s.domain, values, s.mask)
-    fit, share, got_peak, e = _linear_fitter(s)(s.values)
-    assert (got_peak, e) == _peak(s.values)
+    fit, share, e = _linear_fitter(s)(s.values)
+    assert e == _peak(s.values)[1]
     scaled_s = SampledField(s.n, s.domain, np.ldexp(s.values, -e), s.mask)
-    want, want_share, _, zero = _linear_fitter(scaled_s)(scaled_s.values)
+    want, want_share, zero = _linear_fitter(scaled_s)(scaled_s.values)
     assert zero == 0
     assert share.hex() == want_share.hex()
     assert [x.hex() for x in fit.coefficients()] == [x.hex() for x in want.coefficients()]
 
 
 def test_linear_fit_rescales_its_sums_exactly(monkeypatch):
-    # On the disk the first block's rows are the narrowest, so its peak
-    # has a smaller exponent than the sample's and the sums taken so far
-    # are rescaled.  Dyadic centers and values make every sum exact, so
-    # the fit must equal a one-block fit, scaled once, bit for bit.
-    s = sample(LinearField(2.25, 0.25, -0.5, 0.25, UNIT_DISK), 256)
+    # A sample at 2**600 lies outside the window for unscaled sums, so
+    # every block is scaled by the sample's exponent, although on the disk
+    # the first block's rows are the narrowest and its peak is smaller.
+    # Dyadic centers and values make every sum exact, so the fit must
+    # equal a one-block fit, scaled once, bit for bit.
+    s = sample(LinearField(*(2.0 ** 600 * a for a in (2.25, 0.25, -0.5, 0.25)), UNIT_DISK), 256)
     assert _peak(s.values[:32])[1] < _peak(s.values)[1]
-    fit, share, peak, e = _linear_fitter(s)(s.values)
+    fit, share, e = _linear_fitter(s)(s.values)
     monkeypatch.setattr(registration, "_BLOCK_ROWS", s.n)
-    want, want_share, want_peak, want_e = _linear_fitter(s)(s.values)
-    assert (peak, e) == (want_peak, want_e)
+    want, want_share, want_e = _linear_fitter(s)(s.values)
+    assert e == want_e == _peak(s.values)[1]
     assert fit.coefficients() == want.coefficients()
     assert share == want_share
-    assert [math.ldexp(a, e) for a in fit.coefficients()] == [2.25, 0.25, -0.5, 0.25]
+    assert [math.ldexp(a, e - 600) for a in fit.coefficients()] == [2.25, 0.25, -0.5, 0.25]
+
+
+def _fit_bits(s: SampledField) -> tuple:
+    """The fit of s as hex strings: its coefficients times 2**exp and its share, and exp."""
+    fit, share, e = _linear_fitter(s)(s.values)
+    return [math.ldexp(a, e).hex() for a in fit.coefficients()], share.hex(), e
+
+
+@pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), SymmetricDomain.disk(2.0 ** -20)])
+def test_linear_fit_matches_the_scaled_fit_at_the_window_edges(domain):
+    # The samples are summed unscaled while their energy E and E / W lie
+    # in (2**-900, 2**900).  W is above 1 on the unit square and below 1 on
+    # the small disk, so the two domains meet both bounds of both ends.
+    # Just inside an end the fit keeps exp 0, just outside it reads the
+    # peak; either way its bits are those of a fit of the samples scaled
+    # by the peak's power of two.
+    field = recompose(Decomposition(0.3, -0.2, 0.5, 0.4), domain)
+    base = sample(field, 64)
+    weight = float(np.sum(np.where(base.mask, base.centers()[None, :] ** 2, 0.0)))
+    energy = float(np.vdot(base.values, base.values))
+    assert (weight > 1.0) is (domain.kind == "square")
+    window = 2.0 ** 900
+    for edge in (max(1.0, weight) / window, min(1.0, weight) * window):
+        for factor in (0.99, 1.01):
+            values = base.values * math.sqrt(edge * factor / energy)
+            assert (float(np.vdot(values, values)) > edge) == (factor > 1.0)
+            inside = (factor > 1.0) == (edge < 1.0)
+            s = SampledField(base.n, domain, values, base.mask)
+            coeffs, share, e = _fit_bits(s)
+            peak_exp = _peak(values)[1]
+            assert e == (0 if inside else peak_exp)
+            scaled_s = SampledField(s.n, domain, np.ldexp(values, -peak_exp), s.mask)
+            want_coeffs, want_share, zero = _fit_bits(scaled_s)
+            assert zero == 0
+            assert share == want_share
+            assert coeffs == [math.ldexp(float.fromhex(a), peak_exp).hex() for a in want_coeffs]
+
+
+def test_detect_sampled_answers_a_mixed_scale_sample_without_a_warning():
+    # The first components peak at 2**400 and the second lie near 1e-305,
+    # so the samples are summed unscaled and the small components'
+    # products underflow, where scaling by the peak's power of two would
+    # flush them to zero.  The answer is the one without the small
+    # components, bit for bit, and no warning is raised.
+    rng = np.random.default_rng(2323)
+    big, small = 2.0 ** 400, 1e-305
+    cfg = DetectorConfig(eps=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for domain in (SymmetricDomain.square(1.0), UNIT_DISK):
+            a11, a12, a21, a22, b11, b12, b21, b22 = rng.uniform(-1.0, 1.0, 8)
+            sv, su, sv_big, su_big = (
+                sample(LinearField(big * p11, big * p12, q * p21, q * p22, domain), 256)
+                for q in (small, 0.0)
+                for p11, p12, p21, p22 in ((a11, a12, a21, a22), (b11, b12, b21, b22)))
+            assert _linear_fitter(sv)(sv.values)[2] == 0
+            got = detect_sampled(sv, su, cfg)
+            want = detect_sampled(sv_big, su_big, cfg)
+            assert got.alpha.hex() == want.alpha.hex()
+            assert (got.iterations, got.status) == (want.iterations, want.status)
+            assert np.isfinite(got.corrected.values).all()
+
+
+def _count_peak_calls(monkeypatch) -> list:
+    """Spy on ``registration._peak``: the returned list gains one entry per call."""
+    calls = []
+    peak = registration._peak
+
+    def spy(values):
+        calls.append(values.shape)
+        return peak(values)
+
+    monkeypatch.setattr(registration, "_peak", spy)
+    return calls
+
+
+def test_detect_sampled_reads_the_peak_only_where_the_window_cannot_answer(monkeypatch):
+    # A linear pair in the window is fitted unscaled, so no peak is read;
+    # the loop route reads both peaks for its scaled copies, and a sample
+    # outside the window has its peak read for the scaled traversal.
+    peaks = _count_peak_calls(monkeypatch)
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    cfg = DetectorConfig(eps=1e-6)
+    result = detect_sampled(sample(v, 256), sample(total_rotate(v, 0.7), 256), cfg)
+    result.corrected
+    assert peaks == []
+    detect_sampled(_flow(32), _flow(32, 0.4), cfg)
+    assert len(peaks) == 2
+    peaks.clear()
+    tiny = scaled(v, 2.0 ** -600)
+    detect_sampled(sample(tiny, 64), sample(total_rotate(tiny, 0.7), 64), cfg)
+    assert len(peaks) == 2
+
+
+def test_the_shared_mask_keeps_its_constants(monkeypatch):
+    # The read-only mask that sample shares gets its weight and mirror
+    # test once: a planted entry is what the next fitter reads.  A
+    # writable copy of it, or a read-only mask that sample does not
+    # share, computes them and never enters the cache.
+    domain = SymmetricDomain.disk(0.9)
+    s = sample(recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain), 48)
+    key = domain, 48
+    _linear_fitter(s)
+    ref, weight, projects = registration._MASK_CONSTANTS[key]
+    assert ref() is s.mask and projects
+    monkeypatch.setitem(registration._MASK_CONSTANTS, key, (ref, 3.0, True))
+    assert registration._mask_constants(s, s.centers()) == (3.0, True)
+    writable = s.mask.copy()
+    cut = s.mask.copy()
+    cut[:, :8] = False
+    cut.flags.writeable = False
+    for mask, projects in ((writable, True), (cut, False)):
+        other = SampledField(s.n, domain, np.where(mask[..., None], s.values, 0.0), mask)
+        got = registration._mask_constants(other, s.centers())
+        assert got[1] is projects
+        assert registration._MASK_CONSTANTS[key][0]() is s.mask
+    assert registration._mask_constants(
+        SampledField(s.n, domain, s.values, writable), s.centers()) == (weight, True)
+
+
+def test_the_kept_constants_let_their_mask_go():
+    # The entry refers to its mask weakly: once no sample holds the mask,
+    # it is collected and the entry is dropped with it.
+    domain = SymmetricDomain.square(0.37)
+    key = domain, 24
+    field = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
+    sv, su = sample(field, 24), sample(total_rotate(field, 0.3), 24)
+    result = detect_sampled(sv, su)
+    mask = weakref.ref(sv.mask)
+    assert registration._MASK_CONSTANTS[key][0]() is sv.mask
+    del sv, su, result
+    gc.collect()
+    assert mask() is None
+    assert key not in registration._MASK_CONSTANTS
 
 
 def test_scaled_equals_ldexp():
@@ -1314,7 +1448,7 @@ def test_detect_sampled_projects_nonlinear_samples(domain, monkeypatch):
     statuses = []
     for name, sv, su, offset in _nonlinear_pairs(domain, 64, 3):
         fit = _linear_fitter(sv)
-        (v_fit, v_share, _, _), (u_fit, u_share, _, _) = fit(sv.values), fit(su.values)
+        (v_fit, v_share, _), (u_fit, u_share, _) = fit(sv.values), fit(su.values)
         assert 1.0 - u_share > registration._LINEAR_TOL ** 2
         want = detect(v_fit, u_fit, cfg)
         got = detect_sampled(sv, su, cfg)
