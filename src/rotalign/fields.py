@@ -146,7 +146,7 @@ UNIT_SQUARE = SymmetricDomain.square(1.0)
 UNIT_DISK = SymmetricDomain.disk(1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearField:
     """v(x) = (a11*x1 + a12*x2)*e1 + (a21*x1 + a22*x2)*e2, zero outside domain."""
 

@@ -917,6 +917,40 @@ _ORACLE_GRID = 20001
 # Scaled, entries are below 1, so a conjugated one is below 2 and off by
 # under 2**-48, and a squared distance is below 36 and off by under 2**-43.
 _ORACLE_SLACK = 2.0 ** -42  # for the two distances compared
+# Three passes of 6,667 angles: a pass keeps about a dozen 53 KB temporaries,
+# which stay in a 1 MB L2 cache; a dozen of the whole grid's (160 KB each) would not.
+_ORACLE_BLOCK = 6667
+
+
+def _oracle_blocks() -> tuple:
+    """The scan's angles -pi/2 + k*pi/_ORACLE_GRID, k = 1.._ORACLE_GRID, as read-only
+    (cos, -sin) pairs of _ORACLE_BLOCK angles each."""
+    thetas = -0.5 * math.pi + (math.pi / _ORACLE_GRID) * np.arange(1, _ORACLE_GRID + 1)
+    cos, minus_sin = np.cos(thetas), -np.sin(thetas)
+    cos.flags.writeable = minus_sin.flags.writeable = False
+    return tuple((cos[k:k + _ORACLE_BLOCK], minus_sin[k:k + _ORACLE_BLOCK])
+                 for k in range(0, _ORACLE_GRID, _ORACLE_BLOCK))
+
+
+_ORACLE_BLOCKS = _oracle_blocks()
+
+
+def _distances(c, s, v: tuple, u: tuple) -> np.ndarray:
+    """Squared Frobenius distances from v to R u R^T, R = [[c, -s], [s, c]], per angle."""
+    b11, b12, b21, b22 = _conjugate(c, s, *u)
+    return (b11 - v[0]) ** 2 + (b12 - v[1]) ** 2 + (b21 - v[2]) ** 2 + (b22 - v[3]) ** 2
+
+
+def _oracle_scores(answer: float, v: tuple, u: tuple) -> tuple:
+    """|R(-t) U R(-t)^T - V|^2 at t = answer, and its least over the scan's angles.
+
+    The answer is scored alone, on a one-element array, and the grid block
+    by block, with the same operations: each score has the bits it has in
+    one pass over the grid with the answer appended.
+    """
+    turn = np.array([answer])
+    answer_score = _distances(np.cos(turn), -np.sin(turn), v, u)[0]
+    return answer_score, min(_distances(c, s, v, u).min() for c, s in _ORACLE_BLOCKS)
 
 
 def _half_saddle_angle(v: LinearField, u: LinearField) -> float:
@@ -952,16 +986,9 @@ def oracle_detect(v: LinearField, u: LinearField) -> float:
         raise DomainMismatchError("oracle_detect needs both fields on the same domain")
     answer = _half_saddle_angle(v, u)
     _, e = math.frexp(max(map(abs, v.coefficients() + u.coefficients())))
-    v_mat = np.ldexp(v.matrix(), -e)
-    a11, a12, a21, a22 = (math.ldexp(x, -e) for x in u.coefficients())
-
-    step = math.pi / _ORACLE_GRID
-    thetas = np.append(-0.5 * math.pi + step * np.arange(1, _ORACLE_GRID + 1), answer)
-    # A' = R(-theta) A R(-theta)^T
-    b11, b12, b21, b22 = _conjugate(np.cos(thetas), -np.sin(thetas), a11, a12, a21, a22)
-    dist_sq = ((b11 - v_mat[0, 0]) ** 2 + (b12 - v_mat[0, 1]) ** 2
-               + (b21 - v_mat[1, 0]) ** 2 + (b22 - v_mat[1, 1]) ** 2)
-    if dist_sq[-1] > dist_sq[:-1].min() + _ORACLE_SLACK:
+    v_entries, u_entries = (tuple(math.ldexp(x, -e) for x in f.coefficients()) for f in (v, u))
+    answer_score, scan_min = _oracle_scores(answer, v_entries, u_entries)
+    if answer_score > scan_min + _ORACLE_SLACK:
         raise RuntimeError(f"the offset {answer!r} scores worse than the oracle's scan")
     return answer
 

@@ -1,6 +1,9 @@
+import copy
 import gc
 import math
+import pickle
 import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -314,6 +317,25 @@ def test_domain_validation():
 def test_field_json_round_trip():
     f = LinearField(1.5, -0.25, 0.0, 2.0, SymmetricDomain.disk(0.75))
     assert LinearField.from_json_dict(f.to_json_dict()) == f
+
+
+def test_field_has_slots_and_stays_a_frozen_value():
+    f = LinearField(1.5, -0.25, 0.0, 2.0, SymmetricDomain.disk(0.75))
+    assert not hasattr(f, "__dict__")
+    for back in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert back == f and hash(back) == hash(f)
+        assert back.coefficients() == f.coefficients() and back.domain == f.domain
+    turned = replace(f, a12=0.5)
+    assert turned.coefficients() == (1.5, 0.5, 0.0, 2.0) and turned.domain == f.domain
+    assert turned != f and f == LinearField(1.5, -0.25, 0.0, 2.0, SymmetricDomain.disk(0.75))
+    assert f != LinearField(*f.coefficients())  # another domain
+    assert len({f, copy.deepcopy(f), turned}) == 2
+    with pytest.raises(FrozenInstanceError):
+        f.a11 = 0.0
+    with pytest.raises(AttributeError):
+        object.__setattr__(f, "note", "no slot for it")
+    with pytest.raises(ValueError, match="finite"):
+        replace(f, a22=math.inf)
 
 
 @pytest.mark.parametrize("slot", range(4))

@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -42,10 +43,11 @@ from rotalign import (
 )
 from rotalign import TraceEntry, registration
 from rotalign.correlation import correlate_sampled, second_moment
-from rotalign.fields import _centers, _coordinates, _grid_values
+from rotalign.fields import _centers, _conjugate, _coordinates, _grid_values
 from rotalign.registration import (
     _detect_by_resampling,
     _linear_fitter,
+    _oracle_scores,
     _peak,
     _resampler,
     _special_case,
@@ -483,6 +485,54 @@ def test_oracle_scores_no_worse_than_a_dense_scan():
         assert scores[0] <= scores[1:].min() + 1e-12
         pairs += 1
     assert pairs == 96
+
+
+def _full_width_scores(v: LinearField, u: LinearField, answer: float) -> tuple:
+    """The certificate's scores as one pass over the grid with the answer appended."""
+    _, e = math.frexp(max(map(abs, v.coefficients() + u.coefficients())))
+    v_mat = np.ldexp(v.matrix(), -e)
+    a11, a12, a21, a22 = (math.ldexp(x, -e) for x in u.coefficients())
+    step = math.pi / registration._ORACLE_GRID
+    thetas = np.append(-0.5 * math.pi + step * np.arange(1, registration._ORACLE_GRID + 1), answer)
+    b11, b12, b21, b22 = _conjugate(np.cos(thetas), -np.sin(thetas), a11, a12, a21, a22)
+    dist_sq = ((b11 - v_mat[0, 0]) ** 2 + (b12 - v_mat[0, 1]) ** 2
+               + (b21 - v_mat[1, 0]) ** 2 + (b22 - v_mat[1, 1]) ** 2)
+    return dist_sq[-1], dist_sq[:-1].min()
+
+
+def test_oracle_scan_has_the_bits_of_one_full_width_pass():
+    def criterion_5_draws():
+        rng = np.random.default_rng(1005)
+        for _ in range(2000):
+            v = LinearField(*rng.uniform(-1, 1, 4))
+            yield v, total_rotate(v, math.pi - 2 * math.pi * rng.random())
+
+    grid = [a for block in registration._ORACLE_BLOCKS for a in block]
+    assert not any(a.flags.writeable for a in grid)
+    assert sum(map(len, grid)) == 2 * registration._ORACLE_GRID
+    for v, u in chain(_oracle_pairs(), criterion_5_draws()):
+        answer = registration._half_saddle_angle(v, u)
+        _, e = math.frexp(max(map(abs, v.coefficients() + u.coefficients())))
+        scaled_v, scaled_u = (tuple(math.ldexp(x, -e) for x in f.coefficients()) for f in (v, u))
+        got = _oracle_scores(answer, scaled_v, scaled_u)
+        want = _full_width_scores(v, u, answer)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("domain", [SymmetricDomain.square(0.75), UNIT_DISK], ids=["square", "disk"])
+def test_oracle_refuses_an_answer_its_scan_beats(monkeypatch, domain):
+    rng = np.random.default_rng(2404)
+    for _ in range(5):
+        v = LinearField(*rng.uniform(-1, 1, 4), domain)
+        u = total_rotate(v, rng.uniform(-math.pi, math.pi))
+        true = oracle_detect(v, u)
+        # 1e-9 scores within the slack; 1e-3 is over six steps of the scan's pi/20001.
+        monkeypatch.setattr(registration, "_half_saddle_angle", lambda v, u: true + 1e-9)
+        assert oracle_detect(v, u) == true + 1e-9
+        monkeypatch.setattr(registration, "_half_saddle_angle", lambda v, u: true + 1e-3)
+        with pytest.raises(RuntimeError, match="scores worse than the oracle's scan"):
+            oracle_detect(v, u)
+        monkeypatch.undo()
 
 
 def test_oracle_reads_a_saddle_pair_1e150_below_the_invariant_pair():
