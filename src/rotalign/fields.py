@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import sys
 import weakref
 from dataclasses import dataclass
@@ -304,9 +305,10 @@ class SampledField:
     values[iy, ix] holds (v1, v2) at (centers[ix], centers[iy]); the
     row-major flattening therefore walks x1 fastest.  Cells whose center
     falls outside the domain are masked out and hold the zero vector.
-    values must be an (n, n, 2) array of finite values and mask an
-    (n, n) bool array.  Two samples are equal when they share n, domain
-    and mask and hold equal values; they hold arrays, so do not hash.
+    n must be an integer of at least 2, values an (n, n, 2) array of
+    finite values and mask an (n, n) bool array.  Two samples are equal
+    when they share n, domain and mask and hold equal values; they hold
+    arrays, so do not hash.
     """
 
     n: int
@@ -316,6 +318,12 @@ class SampledField:
 
     def __post_init__(self):
         n = self.n
+        try:
+            size = operator.index(n)
+        except TypeError:
+            size = 0
+        if size < 2:
+            raise ValueError(f"sampled field n must be an integer of at least 2, got {n!r}")
         values, mask = self.values, self.mask
         if not (isinstance(values, np.ndarray) and values.shape == (n, n, 2)):
             raise ValueError(f"sampled field values must be an ({n}, {n}, 2) array, "

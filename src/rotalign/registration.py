@@ -50,21 +50,22 @@ copy exactly (the saddle coefficient pair rotates by 2*phi) instead of
 resampling.  ``detect_sampled`` is the grid-backed entry point.  It
 projects both samples onto linear fields by four grid moments, reading
 each sample once for its moments and its energy, unscaled unless the
-energy leaves a window far inside the double range.  The
+energy leaves a window far inside the double range; the grid terms of
+the mask ``sample`` shares are computed once per (domain, n).  The
 least-squares projection is the degree-1 term of a field's power
 series, and on a disk it commutes with total rotation, so whenever
 neither projection is degenerate it answers with ``detect`` on the
 projections, linear samples or not.  A pair with a degenerate
 projection (the constant flow, the double winding), or on a mask the
 moment formula does not fit, runs the same loop on the samples, with
-quadrature correlation and a copy re-interpolated each step, and is
-therefore approximate.
+quadrature correlation and a copy re-interpolated for each reading
+after the first, and is therefore approximate.
 
 A result's ``corrected`` copy is a by-product of the answer, so
-``detect`` and the projection keep only what it is built from (the
-turned saddle pair, the pattern's exponent, its invariant pair, the
-grid; for a pattern its projection does not reproduce, the pattern
-and the answer) and build it when it is first read.  Whether it
+every route keeps only what it is built from (the turned saddle pair,
+the pattern's exponent, its invariant pair, the grid; for a pattern
+its projection does not reproduce, and on the loop, the pattern and
+the turn) and builds it when it is first read.  Whether it
 overflows is settled during the call: where a bound on its entries
 cannot rule that out, the same builder runs at once.
 
@@ -78,10 +79,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, compress, count, repeat
 from typing import Callable, NamedTuple, Optional
 
@@ -164,14 +164,14 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Stopping accuracy eps (above the 1e-9 branch tolerance) and iteration cap."""
+    """Stopping accuracy eps (finite, above the 1e-9 branch tolerance) and iteration cap."""
 
     eps: float = 1e-6
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not self.eps > _ZERO_TOL:
-            raise ValueError(f"eps must exceed the branch tolerance {_ZERO_TOL!r}, "
+        if not _ZERO_TOL < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and exceed the branch tolerance {_ZERO_TOL!r}, "
                              f"got {self.eps!r}")
         if _integer("max_iter", self.max_iter) < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
@@ -569,18 +569,18 @@ def _result(applied: float, iteration: int, readings, capped: bool,
 _BLOCK_ROWS = 32  # rows per pass of the resampler and the fit, so the temporaries stay in cache
 
 
-def _resampler(original: SampledField) -> Callable[[float], SampledField]:
-    """Prepare ``rotate(theta)``: total-rotate a sampled field by bilinear resampling.
+def _resampler(original: SampledField, exp: int) -> Callable[[float], SampledField]:
+    """Prepare ``rotate(theta)``: total-rotate the field's values * 2**-exp by bilinear resampling.
 
     Values are looked up at the back-rotated positions and then rotated
     forward; positions falling outside the sample grid contribute zero.
-    The components are copied once into zero planes with a two-cell
-    margin, and floored cell indices are clipped to [-2, n]: a clipped
-    corner then lands in the margin, so every lookup is a plain gather.
-    Approximate by nature, unlike the linear-field path.  The copies are
-    not checked for finite values: the detector's samples peak below 1,
-    or below 2**450 where they are not scaled, and an interpolated,
-    rotated value stays below 1.5 times the peak.
+    The components are scaled once (``_scaled``) into zero planes with a
+    two-cell margin, and floored cell indices are clipped to [-2, n]: a
+    clipped corner then lands in the margin, so every lookup is a plain
+    gather.  Approximate by nature, unlike the linear-field path.  The
+    copies are not checked for finite values: the detector's scaled
+    samples peak below 1, or below 2**450 where exp is 0, and an
+    interpolated, rotated value stays below 1.5 times the peak.
     """
     n = original.n
     length = original.domain.bounding_half_side
@@ -588,7 +588,7 @@ def _resampler(original: SampledField) -> Callable[[float], SampledField]:
     centers = original.centers()
     width = n + 4
     planes = np.zeros((2, width, width))
-    planes[:, 2:n + 2, 2:n + 2] = np.moveaxis(original.values, 2, 0)
+    _scaled(np.moveaxis(original.values, 2, 0), -exp, planes[:, 2:n + 2, 2:n + 2])
     plane1 = planes[0].ravel()
     plane2 = planes[1].ravel()
     outside = ~original.mask
@@ -643,37 +643,26 @@ def _peak(values: np.ndarray) -> tuple:
     return peak, math.frexp(peak)[1]
 
 
-# (domain, n) -> (a weak reference to the mask ``sample`` shares on that
-# grid, its weight W, whether the moment formula fits it).
-_MASK_CONSTANTS = {}
-
-
-def _forget(key: tuple, ref: weakref.ref) -> None:
-    """Drop the constants kept under key when ref's mask is collected."""
-    if _MASK_CONSTANTS.get(key, (None,))[0] is ref:
-        del _MASK_CONSTANTS[key]
-
-
-def _mask_constants(grid: SampledField, x: np.ndarray) -> tuple:
-    """(W, projects): the sum of x1^2 over the mask's cells, and whether the moment formula fits it.
-
-    The read-only mask that ``sample`` shares on a (domain, n) grid gets
-    them once, kept while the mask lives; any other mask pays them per
-    call.  x holds the grid's centers.
-    """
-    key = grid.domain, grid.n
-    mask = grid.mask
-    kept = _MASK_CONSTANTS.get(key)
-    if kept is not None and kept[0]() is mask:
-        return kept[1:]
+def _grid_terms(domain: SymmetricDomain, n: int, mask: np.ndarray) -> tuple:
+    """(x, [1; x2], W, projects): the n-grid's centers, ones stacked on them, the
+    sum of x1^2 over the mask's cells, and whether the moment formula fits it."""
+    x = _centers(domain, n)
     squares = x * x
     cells_in = mask.view(np.uint8)
     weight = float(cells_in.sum(axis=0, dtype=np.uint32) @ squares)
     projects = bool(weight and float(cells_in.sum(axis=1, dtype=np.uint32) @ squares) == weight
                     and np.array_equal(mask, mask[::-1]))
-    if mask is _MASKS.get(key) and not mask.flags.writeable:
-        _MASK_CONSTANTS[key] = (weakref.ref(mask, partial(_forget, key)), weight, projects)
-    return weight, projects
+    return x, np.stack([np.ones(n), x]), weight, projects
+
+
+@lru_cache(maxsize=64)
+def _shared_grid_terms(domain: SymmetricDomain, n: int) -> tuple:
+    """Read-only ``_grid_terms`` of the mask ``sample`` shares on (domain, n).
+
+    That mask depends on (domain, n) alone, so the terms outlive it."""
+    x, ones_x2, weight, projects = _grid_terms(domain, n, _MASKS[domain, n])
+    x.flags.writeable = ones_x2.flags.writeable = False
+    return x, ones_x2, weight, projects
 
 
 # The window in which ``fit`` sums a sample unscaled: its energy E and
@@ -719,9 +708,9 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
     cache-sized buffer.
     """
     n = grid.n
-    x = grid.centers()
-    weight, projects = _mask_constants(grid, x)
-    ones_x2 = np.stack([np.ones(n), x])
+    key = grid.domain, n
+    x, ones_x2, weight, projects = (_shared_grid_terms(*key) if grid.mask is _MASKS.get(key)
+                                    else _grid_terms(*key, grid.mask))
     blocks = _blocks(n)
     low = max(1.0, weight) / _WINDOW
     high = min(1.0, weight) * _WINDOW
@@ -790,9 +779,9 @@ def detect_sampled(v: SampledField, u: SampledField,
     square the corners turned in from outside are zero-filled, and
     ``corrected`` can lie farther from the field than the pattern does.
     A pair with a degenerate projection, or on a mask the moment formula
-    does not fit, has both samples' peaks read and makes copies scaled by
-    their powers of two, and ``_detect_by_resampling`` runs the loop on
-    them; ``corrected`` is its last resampled copy.  Either way
+    does not fit, is answered by ``_detect_by_resampling``, the loop on
+    the samples, and its ``corrected`` is the pattern resampled once at
+    the loop's summed turn, built when first read as well.  Either way
     ``corrected`` is at the pattern's scale.  A turned copy can peak
     above the samples, and a pattern whose copy would then overflow is
     refused with ``ValueError`` during the call.
@@ -807,19 +796,7 @@ def detect_sampled(v: SampledField, u: SampledField,
     # saddle on the square), so it may overflow where the samples did not.
     try:
         if u_share <= _DEGENERATE_TOL:
-            (v_peak, v_exp), (u_peak, u_exp) = _peak(v.values), _peak(u.values)
-            if v_peak == 0.0:
-                raise DegenerateZeroFieldError("cannot align against the zero field")
-            if u_peak == 0.0:
-                raise DegenerateZeroFieldError("cannot align a zero pattern")
-            result = _detect_by_resampling(
-                SampledField._unchecked(v.n, v.domain, _scaled(v.values, -v_exp, None), v.mask),
-                SampledField._unchecked(u.n, u.domain, _scaled(u.values, -u_exp, None), u.mask),
-                cfg)
-            values = result.corrected.values
-            with np.errstate(over="raise"):
-                _scaled(values, u_exp, values)
-            return result
+            return _detect_by_resampling(v, u, cfg)
         # The projections carry rounding noise, so detect's test for a
         # pair that no turn correlates is taken relative to their norms.
         (v_saddle, v_invariant), (u_saddle, u_invariant) = map(_pair_norms, (v_fit, u_fit))
@@ -830,8 +807,6 @@ def detect_sampled(v: SampledField, u: SampledField,
                                            f"{_DEGENERATE_TOL!r} of their norms")
         result = detect(v_fit, u_fit, cfg)
         if 1.0 - u_share > _LINEAR_TOL * _LINEAR_TOL:
-            # A resampled value is below sqrt(2) times the peak, so only a
-            # peak at the top exponent, scaled there, can overflow its copy.
             corrected = _when_read(u_exp >= _MAX_EXP, _resampled_copy, u, u_exp, -result.alpha)
         else:
             linear = result.corrected
@@ -866,12 +841,10 @@ def _sampled_copy(linear: LinearField, exp: int, n: int, domain: SymmetricDomain
 def _resampled_copy(pattern: SampledField, exp: int, theta: float) -> SampledField:
     """``pattern`` turned by theta: its samples times 2**-exp, resampled once, times 2**exp.
 
-    Raises ``FloatingPointError`` if a value overflows.
+    A resampled value is below sqrt(2) times the peak, so only a peak at
+    the top exponent can overflow the copy, raising ``FloatingPointError``.
     """
-    if not exp:
-        return _resampler(pattern)(theta)
-    scaled = _scaled(pattern.values, -exp, None)
-    copy = _resampler(SampledField._unchecked(pattern.n, pattern.domain, scaled, pattern.mask))(theta)
+    copy = _resampler(pattern, exp)(theta)
     with np.errstate(over="raise"):
         _scaled(copy.values, exp, copy.values)
     return copy
@@ -881,12 +854,19 @@ def _detect_by_resampling(v: SampledField, u: SampledField,
                           cfg: DetectorConfig) -> DetectionResult:
     """``detect``'s loop on samples: quadrature correlation, resampled copy.
 
-    The copy is always re-interpolated from the original samples at the
-    accumulated angle, so interpolation error does not compound.
-    ``corrected`` is the last copy, at the scale of u.
+    The samples are scaled by their peaks' powers of two, and a zero one
+    is refused.  Each copy is re-interpolated from the pattern at the
+    summed turn, so interpolation error does not compound, and none
+    follows the last reading: ``corrected`` is one more, built when read.
     """
-    current = u
-    rotate = _resampler(u)
+    (v_peak, v_exp), (u_peak, u_exp) = _peak(v.values), _peak(u.values)
+    if v_peak == 0.0:
+        raise DegenerateZeroFieldError("cannot align against the zero field")
+    if u_peak == 0.0:
+        raise DegenerateZeroFieldError("cannot align a zero pattern")
+    v = SampledField._unchecked(v.n, v.domain, _scaled(v.values, -v_exp, None), v.mask)
+    current = SampledField._unchecked(u.n, u.domain, _scaled(u.values, -u_exp, None), u.mask)
+    rotate = _resampler(u, u_exp)
 
     phi = math.pi
     alpha_acc = 0.0
@@ -900,6 +880,8 @@ def _detect_by_resampling(v: SampledField, u: SampledField,
         if iteration == cfg.max_iter:
             capped = True
             break
+        if iteration:
+            current = rotate(applied)
         iteration += 1
 
         phi = correlate_sampled(current, v).argument
@@ -907,10 +889,10 @@ def _detect_by_resampling(v: SampledField, u: SampledField,
         phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
 
         applied += phi
-        current = rotate(applied)
         readings.append((phi, alpha_acc, branch) if iteration <= 2 else phi)
 
-    return _result(applied, iteration, readings, capped, current)
+    corrected = _when_read(u_exp >= _MAX_EXP, _resampled_copy, u, u_exp, applied)
+    return _result(applied, iteration, readings, capped, corrected)
 
 
 _ORACLE_GRID = 20001

@@ -268,6 +268,19 @@ def test_experiment_invalid_spec_exits_one(tmp_path, capsys, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_experiment_refuses_an_infinite_eps_up_front(tmp_path, capsys, fmt):
+    # Accepted, eps = inf stopped every trial before its first reading: a
+    # csv report held inf, and a json one failed only after the campaign.
+    out = tmp_path / f"report.{fmt}"
+    code, stdout, err = run_cli(capsys, "experiment", "--trials", "5", "--eps", "inf",
+                                "--format", fmt, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("rotalign: error:") and "eps must be finite" in err
+    assert not out.exists()
+
+
 def test_experiment_report_is_strict_json(tmp_path, capsys):
     # Every trial is capped, so the converged-only statistics are undefined.
     path = tmp_path / "report.json"

@@ -236,7 +236,8 @@ def test_report_invariants():
 
 def test_spec_validation():
     for changes in (dict(trials=0), dict(trials=2.5), dict(trials=2 ** 32 + 1),
-                    dict(eps=-1.0), dict(eps=1e-10), dict(max_iter=0), dict(max_iter=2.5),
+                    dict(eps=-1.0), dict(eps=1e-10), dict(eps=math.inf),
+                    dict(max_iter=0), dict(max_iter=2.5),
                     dict(seed=-1), dict(seed=1.5),
                     dict(coeff_bound=math.inf), dict(coeff_bound=math.nan),
                     dict(coeff_bound=-1.0), dict(coeff_bound=0.0), dict(coeff_bound=1e308),

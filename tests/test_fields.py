@@ -373,6 +373,7 @@ def test_sample_refuses_non_finite_values_inside_the_domain():
 
 
 _EIGHT = sample(LinearField(0.7, -0.2, 0.5, 0.4), 8)
+_TWO = sample(LinearField(0.7, -0.2, 0.5, 0.4), 2)
 
 
 @pytest.mark.parametrize("n, values, mask, what", [
@@ -380,10 +381,16 @@ _EIGHT = sample(LinearField(0.7, -0.2, 0.5, 0.4), 8)
     (8, _EIGHT.values, _EIGHT.mask.astype(float), "mask"),
     (9, _EIGHT.values, _EIGHT.mask, "values"),
     (8, _EIGHT.values, _EIGHT.mask[:, :4], "mask"),
-], ids=["values-8x8x1", "float-mask", "n-9-on-8x8", "mask-8x4"])
+    (0, np.zeros((0, 0, 2)), np.zeros((0, 0), bool), "n"),
+    (1, _EIGHT.values[:1, :1], _EIGHT.mask[:1, :1], "n"),
+    (True, _EIGHT.values[:1, :1], _EIGHT.mask[:1, :1], "n"),
+    (2.0, _TWO.values, _TWO.mask, "n"),
+], ids=["values-8x8x1", "float-mask", "n-9-on-8x8", "mask-8x4", "n-0", "n-1", "n-true",
+        "n-2.0"])
 def test_sampled_field_refuses_malformed_arrays(n, values, mask, what):
     # Accepted, these failed later inside numpy (an IndexError, a TypeError
     # from inverting the mask, a matmul error), and a wrong n would make a
-    # fit by rows of n misread the samples.
+    # fit by rows of n misread the samples.  sample refuses n < 2; accepted,
+    # n = 0 made detect_sampled divide by zero and n = 1 answer CONVERGED.
     with pytest.raises(ValueError, match=f"sampled field {what} must be an"):
         SampledField(n, UNIT_SQUARE, values, mask)

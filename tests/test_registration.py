@@ -7,7 +7,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
@@ -748,7 +748,7 @@ def test_resampler_matches_reference_bit_for_bit(domain, n):
     rng = np.random.default_rng(n)
     f = SampledField(n, domain, rng.uniform(-1, 1, (n, n, 2)),
                      sample(LinearField(1.0, 0.0, 0.0, 1.0, domain), n).mask)
-    rotate = _resampler(f)
+    rotate = _resampler(f, 0)
     for theta in (0.0, 0.3, -0.3, math.pi / 4, math.pi / 2, -math.pi / 2, 2.5, math.pi):
         assert np.array_equal(rotate(theta).values, _resample_rotated(f, theta).values)
 
@@ -1137,46 +1137,49 @@ def test_detect_sampled_reads_the_peak_only_where_the_window_cannot_answer(monke
     assert len(peaks) == 2
 
 
-def test_the_shared_mask_keeps_its_constants(monkeypatch):
-    # The read-only mask that sample shares gets its weight and mirror
-    # test once: a planted entry is what the next fitter reads.  A
-    # writable copy of it, or a read-only mask that sample does not
-    # share, computes them and never enters the cache.
-    domain = SymmetricDomain.disk(0.9)
-    s = sample(recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain), 48)
-    key = domain, 48
-    _linear_fitter(s)
-    ref, weight, projects = registration._MASK_CONSTANTS[key]
-    assert ref() is s.mask and projects
-    monkeypatch.setitem(registration._MASK_CONSTANTS, key, (ref, 3.0, True))
-    assert registration._mask_constants(s, s.centers()) == (3.0, True)
-    writable = s.mask.copy()
-    cut = s.mask.copy()
+def test_the_shared_grid_terms_are_computed_once_per_grid():
+    # The mask sample shares on a (domain, n) grid gets its terms once, as
+    # read-only arrays equal to _grid_terms of it, and they serve the next
+    # mask sample builds there after this one is collected.  A writable
+    # copy of the mask and a cut read-only mask bypass the cache.
+    domain = SymmetricDomain.disk(0.91)
+    field = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
+    cached = registration._shared_grid_terms
+    before = cached.cache_info()
+    sv, su = sample(field, 48), sample(total_rotate(field, 0.3), 48)
+    _linear_fitter(sv)
+    _linear_fitter(su)
+    after = cached.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    x, ones_x2, weight, projects = kept = cached(domain, 48)
+    want = registration._grid_terms(domain, 48, sv.mask)
+    assert [a.tobytes() for a in kept[:2]] == [a.tobytes() for a in want[:2]]
+    assert (weight.hex(), projects) == (want[2].hex(), True)
+    assert not (x.flags.writeable or ones_x2.flags.writeable)
+    writable = sv.mask.copy()
+    cut = sv.mask.copy()
     cut[:, :8] = False
     cut.flags.writeable = False
     for mask, projects in ((writable, True), (cut, False)):
-        other = SampledField(s.n, domain, np.where(mask[..., None], s.values, 0.0), mask)
-        got = registration._mask_constants(other, s.centers())
-        assert got[1] is projects
-        assert registration._MASK_CONSTANTS[key][0]() is s.mask
-    assert registration._mask_constants(
-        SampledField(s.n, domain, s.values, writable), s.centers()) == (weight, True)
-
-
-def test_the_kept_constants_let_their_mask_go():
-    # The entry refers to its mask weakly: once no sample holds the mask,
-    # it is collected and the entry is dropped with it.
-    domain = SymmetricDomain.square(0.37)
-    key = domain, 24
-    field = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
-    sv, su = sample(field, 24), sample(total_rotate(field, 0.3), 24)
-    result = detect_sampled(sv, su)
+        other = SampledField(sv.n, domain, np.where(mask[..., None], sv.values, 0.0), mask)
+        before = cached.cache_info()
+        fit = _linear_fitter(other)(other.values)
+        assert cached.cache_info() == before
+        assert (fit[0] is not None) is projects
+        terms = registration._grid_terms(domain, 48, mask)
+        assert terms[3] is projects
+        assert math.isclose(terms[2], np.sum(np.where(mask, x * x, 0.0)), rel_tol=1e-12)
     mask = weakref.ref(sv.mask)
-    assert registration._MASK_CONSTANTS[key][0]() is sv.mask
-    del sv, su, result
+    del sv, su, other
     gc.collect()
     assert mask() is None
-    assert key not in registration._MASK_CONSTANTS
+    again = sample(field, 48)
+    before = cached.cache_info()
+    _linear_fitter(again)
+    assert cached.cache_info().hits == before.hits + 1
+    want = registration._grid_terms(domain, 48, again.mask)
+    assert [a.tobytes() for a in kept[:2]] == [a.tobytes() for a in want[:2]]
+    assert kept[2:] == want[2:]
 
 
 def test_scaled_equals_ldexp():
@@ -1251,8 +1254,8 @@ def test_deferred_copies_equal_the_eager_build(monkeypatch):
     # detect and every detect_sampled route: read later, the copy has the
     # bytes it has when built during the call.  detect and the laid-out
     # copy defer it exactly when the pattern's exponent is below the top
-    # four, and the resampled copy (a 1e-3 bend) below the top one, where
-    # no copy can overflow; the loop (a constant flow) never does.
+    # four, and the resampled copy (a 1e-3 bend, or a constant flow on the
+    # loop) below the top one, where no copy can overflow.
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     u = total_rotate(v, 0.7)
     cfg = DetectorConfig(eps=1e-6)
@@ -1267,7 +1270,9 @@ def test_deferred_copies_equal_the_eager_build(monkeypatch):
             su = _bent(sample(pattern, 32), bend * k / size)
             exp = math.frexp(np.abs(su.values).max())[1]
             cases.append((kind, lambda su=su: detect_sampled(sample(v, 32), su, cfg), exp < below))
-        cases.append(("loop", lambda k=k: detect_sampled(_flow(32), _flow(32, 0.7, k), cfg), False))
+        flow = _flow(32, 0.7, 2.5 * k)
+        exp = math.frexp(np.abs(flow.values).max())[1]
+        cases.append(("loop", lambda flow=flow: detect_sampled(_flow(32), flow, cfg), exp < top))
         for kind, call, defers in cases:
             r = call()
             assert (type(vars(r)["_corrected"]) is registration._Deferred) == defers
@@ -1280,8 +1285,8 @@ def test_deferred_copies_equal_the_eager_build(monkeypatch):
             else:
                 assert r.corrected.values.tobytes() == now.values.tobytes()
                 assert r.corrected.mask is now.mask
-    assert kinds == {(kind, defers) for kind in ("detect", "laid out", "resampled")
-                     for defers in (True, False)} | {("loop", False)}
+    assert kinds == {(kind, defers) for kind in ("detect", "laid out", "resampled", "loop")
+                     for defers in (True, False)}
 
 
 def test_detect_sampled_copy_matches_its_grid_reference(monkeypatch):
@@ -1351,17 +1356,21 @@ def test_detect_sampled_refuses_during_the_call_a_copy_that_outgrows_its_samples
 
 
 def _route_pairs():
-    """(v, u, resampled) on each route: projection with a laid-out or a resampled copy, loop."""
+    """(v, u, resampled) on each route: projection with a laid-out or a resampled copy, loop.
+
+    The loop's copy is resampled from the pattern too.
+    """
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     yield sample(v, 32), sample(total_rotate(v, 0.4), 32), False
     yield sample(v, 32), _bent(sample(total_rotate(v, 0.4), 32), 1e-3), True
-    yield _flow(32), _flow(32, 0.4), False
+    yield _flow(32), _flow(32, 0.4), True
 
 
 def test_detect_sampled_results_hold_no_sample_values():
     # Every route: once the samples are dropped, their values are freed,
     # and the copy is still there to read.  A pattern whose copy is
-    # resampled is the exception: it is held until the copy is read.
+    # resampled (a bent one, or any on the loop) is the exception: it is
+    # held until the copy is read.
     cfg = DetectorConfig(eps=1e-6, max_iter=6)
     for sv, su, resampled in _route_pairs():
         refs = [weakref.ref(sv.values), weakref.ref(su.values)]
@@ -1504,7 +1513,7 @@ def test_detect_sampled_projects_nonlinear_samples(domain, monkeypatch):
         got = detect_sampled(sv, su, cfg)
         assert got.alpha.hex() == want.alpha.hex()
         assert (got.iterations, got.status) == (want.iterations, want.status)
-        assert got.corrected.values.tobytes() == _resampler(su)(-got.alpha).values.tobytes()
+        assert got.corrected.values.tobytes() == _resampler(su, 0)(-got.alpha).values.tobytes()
         statuses.append(got.status)
         if got.converged():
             assert angle_distance_mod_pi(got.alpha, offset) <= 1e-5, name
@@ -1573,6 +1582,34 @@ def test_detect_sampled_loops_over_nonlinear_samples(kind, monkeypatch):
     assert got.status is want.status
     assert got.trace == want.trace
     assert got.corrected.values.tobytes() == want.corrected.values.tobytes()
+
+
+def test_the_loop_resamples_once_per_reading_after_the_first(monkeypatch):
+    # Reading 1 reads the pattern itself and every later reading one copy;
+    # no copy follows the last reading.  The first read of corrected
+    # resamples once more, at the summed turn, and a second read does not.
+    turns = []
+    resampler = registration._resampler
+
+    def spy(*args):
+        rotate = resampler(*args)
+        return lambda theta: turns.append(theta) or rotate(theta)
+
+    monkeypatch.setattr(registration, "_resampler", spy)
+    pairs = [(_flow(32), _flow(32, 0.4)),
+             [sample(double_winding(t), 32, UNIT_DISK) for t in (0.0, 0.3)]]
+    iterations = set()
+    for sv, su in pairs:
+        for cfg in (DetectorConfig(eps=1e-6, max_iter=cap) for cap in (1, 3, 20)):
+            turns.clear()
+            result = detect_sampled(sv, su, cfg)
+            iterations.add(result.iterations)
+            assert len(turns) == result.iterations - 1
+            copy = result.corrected
+            assert len(turns) == result.iterations
+            assert turns[-1] == list(accumulate(t.phi for t in result.trace))[-1]
+            assert result.corrected is copy and len(turns) == result.iterations
+    assert iterations == {1, 2, 3, 20}
 
 
 def _projection_sweep():
@@ -1829,7 +1866,7 @@ def _eager_linear_trace(v: LinearField, u: LinearField, cfg: DetectorConfig) -> 
 
 def _eager_resampled_trace(v: SampledField, u: SampledField, cfg: DetectorConfig) -> tuple:
     """``_detect_by_resampling``'s trace, resampling the copy at the applied angle."""
-    rotate = _resampler(u)
+    rotate = _resampler(u, 0)
     current, applied = u, 0.0
 
     def turn(phi: float) -> None:
