@@ -1137,11 +1137,10 @@ def test_detect_sampled_reads_the_peak_only_where_the_window_cannot_answer(monke
     assert len(peaks) == 2
 
 
-def test_the_shared_grid_terms_are_computed_once_per_grid():
+def test_the_shared_mask_keeps_its_constants():
     # The mask sample shares on a (domain, n) grid gets its terms once, as
-    # read-only arrays equal to _grid_terms of it, and they serve the next
-    # mask sample builds there after this one is collected.  A writable
-    # copy of the mask and a cut read-only mask bypass the cache.
+    # read-only arrays equal to _grid_terms of it.  A writable copy of the
+    # mask and a cut read-only mask bypass the cache.
     domain = SymmetricDomain.disk(0.91)
     field = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
     cached = registration._shared_grid_terms
@@ -1169,8 +1168,19 @@ def test_the_shared_grid_terms_are_computed_once_per_grid():
         terms = registration._grid_terms(domain, 48, mask)
         assert terms[3] is projects
         assert math.isclose(terms[2], np.sum(np.where(mask, x * x, 0.0)), rel_tol=1e-12)
+
+
+def test_the_kept_constants_let_their_mask_go():
+    # The cache keys on the grid, not on the mask: the shared mask is still
+    # collected, and the kept terms serve the next mask sample builds there.
+    domain = SymmetricDomain.disk(0.91)
+    field = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
+    cached = registration._shared_grid_terms
+    sv = sample(field, 48)
+    _linear_fitter(sv)
+    kept = cached(domain, 48)
     mask = weakref.ref(sv.mask)
-    del sv, su, other
+    del sv
     gc.collect()
     assert mask() is None
     again = sample(field, 48)
