@@ -12,9 +12,10 @@ every bit.  It hashes
 * the bytes of ``rotalign experiment`` as CSV and as JSON, to a file and
   to stdout;
 * ``detect_sampled`` on linear and non-linear pairs, on the square and
-  the disk, at scales 2**-300, 1e-5, 1, 3.7 and 2**300, and on pairs
-  with no linear part, which reach the resample loop: alpha, iterations,
-  status, trace and the bytes of ``corrected``.
+  the disk, at scales 2**-300, 1e-5, 1, 3.7 and 2**300 (the projection
+  route), and on pairs with no linear part (the degenerate route), each
+  route under its own digest: alpha, iterations, status, trace and the
+  bytes of ``corrected``.
 
 A change that claims to keep outputs bit for bit must pass it unedited.
 """
@@ -42,7 +43,8 @@ PAIRS = 300
 
 NUMERIC_DIGEST = "720d6f3bda98404f1281a8163bec24c4e8c0543a63d75f778565073f72b9c8bc"
 CLI_DIGEST = "5b5226ce09ff1132ce8c9dfee42970d00177ad2194b9f5b8a4eac486e4f2eb8e"
-SAMPLED_DIGEST = "98e1ad42ad2b0f4e3962b965a6feebb7fd91558fd95239b3d0e2b48a3e03eedf"
+PROJECTION_DIGEST = "7cfe529e577da394a19afefbe95b61f5bf39bd5dd9f8823fb6d30e056af7aea5"
+DEGENERATE_DIGEST = "63f4747c89b9975c25920ff46a416490c66c0b6fe392408c02b29a9a65a105f7"
 SAMPLED_SCALES = (2.0 ** -300, 1e-5, 1.0, 3.7, 2.0 ** 300)
 
 
@@ -121,12 +123,13 @@ def _turned(field, t: float):
 
 
 def _sampled_pairs():
-    """(v, u, cfg): sample pairs for every route of ``detect_sampled``, at each scale.
+    """(route, v, u, cfg): sample pairs for every route of ``detect_sampled``, at each scale.
 
     Per domain and scale: a linear field against its turned copy (the
-    laid-out copy), the same plus 0.5 |x|^2 x (the resampled copy), and
-    a constant flow (the loop).  On the disk, the double winding too (the
-    loop, capped).  n = 40 leaves a partial row block.
+    laid-out copy), the same plus 0.5 |x|^2 x (the resampled copy), both
+    on the "projection" route, and a constant flow on the "degenerate"
+    route.  On the disk, the double winding too ("degenerate").  n = 40
+    leaves a partial row block.
     """
     rng = np.random.default_rng(2323)
     n = 40
@@ -136,31 +139,32 @@ def _sampled_pairs():
             t = float(rng.uniform(-1.5, 1.5))
             cfg = DetectorConfig(eps=1e-8, max_iter=200)
             v = LinearField(a11, a12, a21, a22, domain)
-            yield sample(v, n), sample(total_rotate(v, t), n), cfg
+            yield "projection", sample(v, n), sample(total_rotate(v, t), n), cfg
 
             def bent(x1, x2):
                 r = 0.5 * k * (x1 * x1 + x2 * x2)
                 return a11 * x1 + a12 * x2 + r * x1, a21 * x1 + a22 * x2 + r * x2
 
-            yield sample(bent, n, domain), sample(_turned(bent, t), n, domain), cfg
+            yield "projection", sample(bent, n, domain), sample(_turned(bent, t), n, domain), cfg
 
             def flow(x1, x2, g=(k * 0.6, -k * 0.3)):
                 return np.full_like(x1, g[0]), np.full_like(x2, g[1])
 
             cfg = DetectorConfig(eps=1e-8, max_iter=12)
-            yield sample(flow, n, domain), sample(_turned(flow, t), n, domain), cfg
+            yield ("degenerate", sample(flow, n, domain), sample(_turned(flow, t), n, domain),
+                   cfg)
             if domain.kind == "disk":
                 def winding(x1, x2, w=double_winding()):
                     w1, w2 = w(x1, x2)
                     return k * w1, k * w2
 
-                yield (sample(winding, n, domain), sample(_turned(winding, t), n, domain),
-                       DetectorConfig(eps=1e-8, max_iter=5))
+                yield ("degenerate", sample(winding, n, domain),
+                       sample(_turned(winding, t), n, domain), DetectorConfig(eps=1e-8, max_iter=5))
 
 
-def test_detect_sampled_outputs_are_pinned():
+def _sampled_digest(route: str) -> str:
     digest = hashlib.sha256()
-    for v, u, cfg in _sampled_pairs():
+    for _, v, u, cfg in filter(lambda pair: pair[0] == route, _sampled_pairs()):
         r = detect_sampled(v, u, cfg)
         digest.update(f"{r.iterations} {r.status.value}".encode())
         _floats(digest, [r.alpha])
@@ -168,4 +172,13 @@ def test_detect_sampled_outputs_are_pinned():
             _floats(digest, [entry.phi, entry.alpha_after])
             digest.update(str(entry.branch).encode())
         digest.update(r.corrected.values.tobytes())
-    assert digest.hexdigest() == SAMPLED_DIGEST
+    return digest.hexdigest()
+
+
+def test_detect_sampled_outputs_are_pinned():
+    # The projection route; the degenerate route has the next test.
+    assert _sampled_digest("projection") == PROJECTION_DIGEST
+
+
+def test_detect_sampled_degenerate_outputs_are_pinned():
+    assert _sampled_digest("degenerate") == DEGENERATE_DIGEST
