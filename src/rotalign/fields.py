@@ -128,6 +128,14 @@ def second_moment(domain: SymmetricDomain) -> float:
     return math.pi * r ** 4 / 2.0
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _require_object(d, what: str) -> None:
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
@@ -318,11 +326,7 @@ class SampledField:
 
     def __post_init__(self):
         n = self.n
-        try:
-            size = operator.index(n)
-        except TypeError:
-            size = 0
-        if size < 2:
+        if _integer("sampled field n", n) < 2:
             raise ValueError(f"sampled field n must be an integer of at least 2, got {n!r}")
         values, mask = self.values, self.mask
         if not (isinstance(values, np.ndarray) and values.shape == (n, n, 2)):
@@ -377,8 +381,8 @@ def sample(field: FieldLike, n: int, domain: SymmetricDomain | None = None) -> S
     per-cell fallback for plain scalar closures.  Samples on the same
     (domain, n) share one read-only mask while any of them holds it.
     """
-    if n < 2:
-        raise ValueError(f"grid resolution must be at least 2, got {n}")
+    if _integer("grid resolution", n) < 2:
+        raise ValueError(f"grid resolution must be an integer of at least 2, got {n!r}")
     if isinstance(field, LinearField):
         if domain is not None and domain != field.domain:
             raise DomainMismatchError("explicit domain disagrees with the field's own")

@@ -48,24 +48,22 @@ on the first negative reading, which is the common case.
 Linear fields are closed under total rotation, so the loop updates the
 copy exactly (the saddle coefficient pair rotates by 2*phi) instead of
 resampling.  ``detect_sampled`` is the grid-backed entry point.  It
-projects both samples onto linear fields by four grid moments, reading
-each sample once for its moments and its energy, unscaled unless the
-energy leaves a window far inside the double range; the grid terms of
-the mask ``sample`` shares are computed once per (domain, n).  The
-least-squares projection is the degree-1 term of a field's power
-series, and on a disk it commutes with total rotation, so whenever
-neither projection is degenerate it answers with ``detect`` on the
-projections, linear samples or not.  A pair with a degenerate
-projection (the constant flow, the double winding), or on a mask the
-moment formula does not fit, runs the same loop on the samples, with
-quadrature correlation and a copy re-interpolated for each reading
-after the first, and is therefore approximate.
+projects both samples onto linear fields by least squares over their
+mask, reading each sample once for its moments and its energy, unscaled
+unless the energy leaves a window far inside the double range; the grid
+terms of the mask ``sample`` shares are computed once per (domain, n).
+The projection is the degree-1 term of a field's power series, and on a
+disk it commutes with total rotation, so whenever neither projection is
+degenerate it answers with ``detect`` on the projections, linear samples
+or not.  A pair with a degenerate projection (the constant flow, the
+double winding) is answered in closed form from grid moments of degree
+up to 2, as a whole turn, or refused: no route iterates on samples.
 
 A result's ``corrected`` copy is a by-product of the answer, so
 every route keeps only what it is built from (the turned saddle pair,
 the pattern's exponent, its invariant pair, the grid; for a pattern
-its projection does not reproduce, and on the loop, the pattern and
-the turn) and builds it when it is first read.  Whether it
+its projection does not reproduce, or on the moment route, the pattern
+and the turn) and builds it when it is first read.  Whether it
 overflows is settled during the call: where a bound on its entries
 cannot rule that out, the same builder runs at once.
 
@@ -77,7 +75,6 @@ saddle pairs.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -87,7 +84,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .correlation import correlate_sampled, second_moment
+from .correlation import second_moment
 from .fields import (
     _MASKS,
     DomainMismatchError,
@@ -99,12 +96,13 @@ from .fields import (
     _coordinates,
     _entries,
     _grid_values,
+    _integer,
     _unit_scaled,
 )
 from .multivector import wrap_angle
 
 # Unused here, but bound because benchmarks/tracing.py patches them in this module.
-from .correlation import correlate_linear
+from .correlation import correlate_linear, correlate_sampled
 from .fields import decompose, recompose, total_rotate
 
 __all__ = [
@@ -125,7 +123,8 @@ _HALF_PI = 0.5 * math.pi
 _ZERO_TOL = 1e-9
 # A projection holding at most this share of its sample's energy, or a
 # pair of projections correlating at most this share of their norms,
-# counts as zero: the sample has no linear part to answer with.
+# counts as zero: the sample has no linear part to answer with.  So does
+# a product of two grid moments at most this share of cells**2.
 _DEGENERATE_TOL = 1e-12
 # Relative residual under which a pattern's corrected copy is laid out
 # from its projection.  The Pythagorean residual of an exactly linear
@@ -152,14 +151,6 @@ class TraceEntry(NamedTuple):
     phi: float
     alpha_after: float
     branch: Optional[str]
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, or ``ValueError`` naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -215,10 +206,13 @@ class DetectionResult:
 
     ``alpha`` is the misalignment estimate: the angle by which the
     pattern was totally rotated away from the field, wrapped to
-    (-pi, pi] and meaningful modulo pi.  It is the negated sum of all
-    rotations the loop applied to the pattern.  The trace keeps the raw
-    per-iteration readings and the loop's own accumulator (which the
-    special-case branches overwrite), unwrapped for debuggability.
+    (-pi, pi].  From the loop it is the negated sum of all rotations
+    applied to the pattern, and meaningful modulo pi, as a linear field
+    equals its half-turn image; from grid moments (``detect_sampled`` on
+    a degenerate projection, 0 iterations) it is a whole turn.  The
+    trace keeps the raw per-iteration readings and the loop's own
+    accumulator (which the special-case branches overwrite), unwrapped
+    for debuggability.
 
     The loop records only ``_readings``: readings 1 and 2 as (phi,
     accumulator, branch) and every later one as its phi.  ``trace`` is
@@ -549,7 +543,9 @@ def detect(v: LinearField, u: LinearField, cfg: DetectorConfig = DetectorConfig(
         moment, av, bv, au, bu, cu * cv, d_u * d_v, cu * d_v - d_u * cv,
         cfg.eps, cfg.max_iter, readings=readings)
     corrected = _when_read(u_exp >= _MAX_EXP - 3, _linear_copy, au, bu, u_c, u_d, u_exp, v.domain)
-    return _result(applied, iteration, readings, capped, corrected)
+    status = DetectionStatus.MAX_ITER_EXCEEDED if capped else DetectionStatus.CONVERGED
+    return DetectionResult(alpha=wrap_angle(-applied), iterations=iteration,
+                           _readings=tuple(readings), status=status, corrected=corrected)
 
 
 def _linear_copy(au: float, bu: float, c: float, d: float, exp: int,
@@ -558,71 +554,7 @@ def _linear_copy(au: float, bu: float, c: float, d: float, exp: int,
     return LinearField(*_entries(math.ldexp(au, exp), math.ldexp(bu, exp), c, d), domain)
 
 
-def _result(applied: float, iteration: int, readings, capped: bool,
-            corrected) -> DetectionResult:
-    """The result of a loop that applied ``applied`` in ``iteration`` readings."""
-    status = DetectionStatus.MAX_ITER_EXCEEDED if capped else DetectionStatus.CONVERGED
-    return DetectionResult(alpha=wrap_angle(-applied), iterations=iteration,
-                           _readings=tuple(readings), status=status, corrected=corrected)
-
-
 _BLOCK_ROWS = 32  # rows per pass of the resampler and the fit, so the temporaries stay in cache
-
-
-def _resampler(original: SampledField, exp: int) -> Callable[[float], SampledField]:
-    """Prepare ``rotate(theta)``: total-rotate the field's values * 2**-exp by bilinear resampling.
-
-    Values are looked up at the back-rotated positions and then rotated
-    forward; positions falling outside the sample grid contribute zero.
-    The components are scaled once (``_scaled``) into zero planes with a
-    two-cell margin, and floored cell indices are clipped to [-2, n]: a
-    clipped corner then lands in the margin, so every lookup is a plain
-    gather.  Approximate by nature, unlike the linear-field path.  The
-    copies are not checked for finite values: the detector's scaled
-    samples peak below 1, or below 2**450 where exp is 0, and an
-    interpolated, rotated value stays below 1.5 times the peak.
-    """
-    n = original.n
-    length = original.domain.bounding_half_side
-    h = 2.0 * length / n
-    centers = original.centers()
-    width = n + 4
-    planes = np.zeros((2, width, width))
-    _scaled(np.moveaxis(original.values, 2, 0), -exp, planes[:, 2:n + 2, 2:n + 2])
-    plane1 = planes[0].ravel()
-    plane2 = planes[1].ravel()
-    outside = ~original.mask
-
-    def rotate(theta: float) -> SampledField:
-        c = math.cos(theta)
-        s = math.sin(theta)
-        cx1 = c * centers[None, :]   # R(-theta) x, the x1 terms
-        sx1 = -s * centers[None, :]
-        rotated = np.empty((n, n, 2))
-        for r in range(0, n, _BLOCK_ROWS):
-            x2 = centers[r:r + _BLOCK_ROWS, None]
-            fx = (cx1 + s * x2 + length) / h - 0.5
-            fy = (sx1 + c * x2 + length) / h - 0.5
-            ix0 = np.floor(fx)
-            iy0 = np.floor(fy)
-            tx = fx - ix0
-            ty = fy - iy0
-            i00 = ((np.clip(iy0, -2, n) + 2) * width
-                   + np.clip(ix0, -2, n) + 2).astype(np.intp)
-            w00 = (1 - tx) * (1 - ty)
-            w01 = tx * (1 - ty)
-            w10 = (1 - tx) * ty
-            w11 = tx * ty
-            interp = [w00 * plane.take(i00) + w01 * plane.take(i00 + 1)
-                      + w10 * plane.take(i00 + width) + w11 * plane.take(i00 + width + 1)
-                      for plane in (plane1, plane2)]
-            block = rotated[r:r + _BLOCK_ROWS]
-            block[:, :, 0] = c * interp[0] - s * interp[1]
-            block[:, :, 1] = s * interp[0] + c * interp[1]
-        rotated[outside] = 0.0
-        return SampledField._unchecked(n, original.domain, rotated, original.mask)
-
-    return rotate
 
 
 def _scaled(values: np.ndarray, exp: int, out: Optional[np.ndarray]) -> np.ndarray:
@@ -644,15 +576,18 @@ def _peak(values: np.ndarray) -> tuple:
 
 
 def _grid_terms(domain: SymmetricDomain, n: int, mask: np.ndarray) -> tuple:
-    """(x, [1; x2], W, projects): the n-grid's centers, ones stacked on them, the
-    sum of x1^2 over the mask's cells, and whether the moment formula fits it."""
+    """(x, [1; x2], W1, W2, W12): the n-grid's centers, ones stacked on them, and the
+    sums of x1^2, x2^2 and x1*x2 over the mask's cells.
+
+    W12 is 0 where the rows mirror in x2.  The centers are not exactly
+    antisymmetric, so summing it there would leave a rounding residue."""
     x = _centers(domain, n)
     squares = x * x
     cells_in = mask.view(np.uint8)
-    weight = float(cells_in.sum(axis=0, dtype=np.uint32) @ squares)
-    projects = bool(weight and float(cells_in.sum(axis=1, dtype=np.uint32) @ squares) == weight
-                    and np.array_equal(mask, mask[::-1]))
-    return x, np.stack([np.ones(n), x]), weight, projects
+    w1 = float(cells_in.sum(axis=0, dtype=np.uint32) @ squares)
+    w2 = float(cells_in.sum(axis=1, dtype=np.uint32) @ squares)
+    w12 = 0.0 if np.array_equal(mask, mask[::-1]) else float(x @ (cells_in @ x))
+    return x, np.stack([np.ones(n), x]), w1, w2, w12
 
 
 @lru_cache(maxsize=64)
@@ -660,21 +595,22 @@ def _shared_grid_terms(domain: SymmetricDomain, n: int) -> tuple:
     """Read-only ``_grid_terms`` of the mask ``sample`` shares on (domain, n).
 
     That mask depends on (domain, n) alone, so the terms outlive it."""
-    x, ones_x2, weight, projects = _grid_terms(domain, n, _MASKS[domain, n])
-    x.flags.writeable = ones_x2.flags.writeable = False
-    return x, ones_x2, weight, projects
+    terms = _grid_terms(domain, n, _MASKS[domain, n])
+    terms[0].flags.writeable = terms[1].flags.writeable = False
+    return terms
 
 
 # The window in which ``fit`` sums a sample unscaled: its energy E and
-# E / W both within (2**-900, 2**900).  A domain's half side lies in
-# (2**-256, 2**256), as its second moment is a normal double, so for
-# n < 2**16 every center lies in (2**-272, 2**256) in size.  In the window
-# the peak p lies in (2**-467, 2**450), as p^2 <= E <= 2 n^2 p^2; p times
-# a center lies in (2**-739, 2**706) and a moment is below 2**738.  As
-# W * sum a_ij^2 <= E, each coefficient is below 2**450, and a projection
-# holding more than 1e-12 of E has W * sum a_ij^2 and sum a_ij^2 above
-# 2**-940.  So the terms of the peak's size, their sums and the fit and
-# share made of them are normal doubles, and round as they do on the
+# E / W both within (2**-900, 2**900), for W each pivot of the Gram system
+# (W1 and W2 where W12 = 0).  A domain's half side lies in (2**-256,
+# 2**256), as its second moment is a normal double, so for n < 2**16
+# every center lies in (2**-272, 2**256) in size.  In the window the peak
+# p lies in (2**-467, 2**450), as p^2 <= E <= 2 n^2 p^2; p times a center
+# lies in (2**-739, 2**706) and a moment is below 2**738.  Where W12 = 0,
+# W1 * sum a_i1^2 + W2 * sum a_i2^2 <= E, so each coefficient is below
+# 2**450, and a projection holding more than 1e-12 of E has its terms
+# above 2**-940.  So the terms of the peak's size, their sums and the fit
+# and share made of them are normal doubles, and round as they do on the
 # samples scaled by a power of two: the fit is the scaled fit times that
 # power, and the share is the same.  Terms more than 2**-250 below the
 # peak may round otherwise, where one of the two underflows; they change
@@ -688,15 +624,16 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
 
     ``fit`` returns (field, share, exp): the least-squares linear field
     of values * 2**-exp and the share of those values' energy that it
-    holds.  On a mask whose rows mirror in x2 and whose x1 and x2
-    weights are equal (every domain's mask is one), sum x1*x2 = 0 and
-    sum x1^2 = sum x2^2 = W over the masked cells, so least squares
-    gives a_ij = sum v_i x_j / W and holds W * sum a_ij^2 of the energy
-    (Pythagoras, so the share needs no pass over a residual).  On any
-    other mask ``fit`` reads nothing and returns (None, 0.0, 0), as it
-    does for a zero sample.  The moments and the energy run over every
-    cell, which is the masked grid when the cells outside the domain
-    hold zero, as ``sample`` leaves them.
+    holds.  Each component's (a_i1, a_i2) solves the Gram system
+    [[W1, W12], [W12, W2]] a_i = m_i, m_i = (sum v_i x1, sum v_i x2), with
+    the W of ``_grid_terms``; where W12 = 0 (every domain's mask) a_ij =
+    m_ij / Wj.  The fit holds a . m of the energy (Pythagoras, so the
+    share needs no pass over a residual).  Where a pivot is not positive
+    (the mask's cells lie on one line through the origin) ``fit`` reads
+    nothing and returns (None, 0.0, 0), as it does for a zero sample.
+    The moments and the energy run over every cell, which is the masked
+    grid when the cells outside the domain hold zero, as ``sample``
+    leaves them.
 
     One traversal reads each value once, in blocks of ``_BLOCK_ROWS``
     rows, and adds the block's column sums and x2-weighted rows (one
@@ -709,11 +646,15 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
     """
     n = grid.n
     key = grid.domain, n
-    x, ones_x2, weight, projects = (_shared_grid_terms(*key) if grid.mask is _MASKS.get(key)
-                                    else _grid_terms(*key, grid.mask))
+    x, ones_x2, w1, w2, w12 = (_shared_grid_terms(*key) if grid.mask is _MASKS.get(key)
+                               else _grid_terms(*key, grid.mask))
+    # Elimination without squares of the W, which could overflow: pivots w1 and pivot.
+    ratio = w12 / w1 if w1 > 0.0 else 0.0
+    pivot = w2 - ratio * w12
+    solvable = w1 > 0.0 and pivot > 0.0
     blocks = _blocks(n)
-    low = max(1.0, weight) / _WINDOW
-    high = min(1.0, weight) * _WINDOW
+    low = max(1.0, w1, w2) / _WINDOW
+    high = min(1.0, w1, pivot) * _WINDOW
 
     def sums(rows: np.ndarray, exp: int) -> tuple:
         """The moments and the energy of rows * 2**-exp."""
@@ -729,7 +670,7 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
         return moments, energy
 
     def fit(values: np.ndarray) -> tuple:
-        if not projects:
+        if not solvable:
             return None, 0.0, 0
         rows = values.reshape(n, 2 * n)
         # Outside the window the sums may overflow; they are then not used.
@@ -741,13 +682,19 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
             if not peak:
                 return None, 0.0, 0
             moments, energy = sums(rows, exp)
-        # (a11, a21): weight the column sums by x1.  (a12, a22): sum the
+        # (m_11, m_21): weight the column sums by x1.  (m_12, m_22): sum the
         # x2-weighted rows over the cells.
-        along_x1 = x @ moments[0].reshape(n, 2) / weight
-        along_x2 = moments[1].reshape(n, 2).sum(axis=0) / weight
-        linear = LinearField(float(along_x1[0]), float(along_x2[0]),
-                             float(along_x1[1]), float(along_x2[1]), grid.domain)
-        share = weight * float(along_x1 @ along_x1 + along_x2 @ along_x2) / energy
+        along_x1 = x @ moments[0].reshape(n, 2)
+        along_x2 = moments[1].reshape(n, 2).sum(axis=0)
+        if w12:
+            a2 = (along_x2 - ratio * along_x1) / pivot
+            a1 = (along_x1 - w12 * a2) / w1
+        else:
+            a1 = along_x1 / w1
+            a2 = along_x2 / w2
+        linear = LinearField(float(a1[0]), float(a2[0]), float(a1[1]), float(a2[1]),
+                             grid.domain)
+        share = float(a1 @ along_x1 + a2 @ along_x2) / energy
         return linear, share, exp
 
     return fit
@@ -762,29 +709,31 @@ def detect_sampled(v: SampledField, u: SampledField,
                    cfg: DetectorConfig = DetectorConfig()) -> DetectionResult:
     """Grid-backed detection: ``detect`` on the samples' linear projections.
 
-    Each field is projected onto a linear field (``_linear_fitter``,
-    which sums the samples as they are wherever their energy allows and
-    scales them by a power of two elsewhere), so the answer is the same
-    at any scale.  On a disk the projection commutes with total
-    rotation; on a square, which a turn does not map to itself, only
-    approximately.  When neither projection is degenerate (each holds
-    more than ``_DEGENERATE_TOL`` = 1e-12 of its sample's energy) the
-    answer is ``detect`` on the two projections, and no copy of either
-    sample is made.  ``corrected`` is then built when first read: for a
-    pattern within ``_LINEAR_TOL`` = 1e-6 of its projection (relative
-    residual over all cells), the masked samples of detect's corrected
-    field; for any other, the pattern resampled once at the answer, and
-    the result holds the pattern until then.  A resampled copy reads
-    zero where a turned position falls outside the grid, so on the
-    square the corners turned in from outside are zero-filled, and
-    ``corrected`` can lie farther from the field than the pattern does.
-    A pair with a degenerate projection, or on a mask the moment formula
-    does not fit, is answered by ``_detect_by_resampling``, the loop on
-    the samples, and its ``corrected`` is the pattern resampled once at
-    the loop's summed turn, built when first read as well.  Either way
-    ``corrected`` is at the pattern's scale.  A turned copy can peak
-    above the samples, and a pattern whose copy would then overflow is
-    refused with ``ValueError`` during the call.
+    Each field is projected onto a linear field by least squares over
+    its mask (``_linear_fitter``, which sums the samples as they are
+    wherever their energy allows and scales them by a power of two
+    elsewhere), so the answer is the same at any scale.  On a disk the
+    projection commutes with total rotation; on a square, which a turn
+    does not map to itself, only approximately.  When neither
+    projection is degenerate (each holds more than ``_DEGENERATE_TOL`` =
+    1e-12 of its sample's energy) the answer is ``detect`` on the two
+    projections, and no copy of either sample is made.  ``corrected`` is
+    then built when first read: for a pattern within ``_LINEAR_TOL`` =
+    1e-6 of its projection (relative residual over all cells), the
+    masked samples of detect's corrected field; for any other, the
+    pattern resampled once at the answer, and the result holds the
+    pattern until then.  A resampled copy reads zero where a turned
+    position falls outside the grid, so on the square the corners turned
+    in from outside are zero-filled, and ``corrected`` can lie farther
+    from the field than the pattern does.  A pair with a degenerate
+    projection (a constant flow, the double winding) is answered in
+    closed form from its grid moments by ``_detect_by_moments``, as a
+    whole turn, or refused; its ``corrected`` is the pattern resampled
+    once at the answer, built when first read as well.  No route
+    iterates on the samples.  Either way ``corrected`` is at the
+    pattern's scale.  A turned copy can peak above the samples, and a
+    pattern whose copy would then overflow is refused with
+    ``ValueError`` during the call.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
@@ -796,7 +745,7 @@ def detect_sampled(v: SampledField, u: SampledField,
     # saddle on the square), so it may overflow where the samples did not.
     try:
         if u_share <= _DEGENERATE_TOL:
-            return _detect_by_resampling(v, u, cfg)
+            return _detect_by_moments(v, u)
         # The projections carry rounding noise, so detect's test for a
         # pair that no turn correlates is taken relative to their norms.
         (v_saddle, v_invariant), (u_saddle, u_invariant) = map(_pair_norms, (v_fit, u_fit))
@@ -841,58 +790,99 @@ def _sampled_copy(linear: LinearField, exp: int, n: int, domain: SymmetricDomain
 def _resampled_copy(pattern: SampledField, exp: int, theta: float) -> SampledField:
     """``pattern`` turned by theta: its samples times 2**-exp, resampled once, times 2**exp.
 
-    A resampled value is below sqrt(2) times the peak, so only a peak at
-    the top exponent can overflow the copy, raising ``FloatingPointError``.
+    Total rotation by bilinear resampling: values are looked up at the
+    back-rotated positions and then rotated forward; positions falling
+    outside the sample grid contribute zero.  The components are scaled
+    once (``_scaled``) into zero planes with a two-cell margin, and
+    floored cell indices are clipped to [-2, n]: a clipped corner then
+    lands in the margin, so every lookup is a plain gather.  Approximate
+    by nature, unlike the linear-field path.  A resampled value is below
+    sqrt(2) times the peak, so only a peak at the top exponent can
+    overflow the copy, raising ``FloatingPointError``.
     """
-    copy = _resampler(pattern, exp)(theta)
+    n = pattern.n
+    length = pattern.domain.bounding_half_side
+    h = 2.0 * length / n
+    centers = pattern.centers()
+    width = n + 4
+    planes = np.zeros((2, width, width))
+    _scaled(np.moveaxis(pattern.values, 2, 0), -exp, planes[:, 2:n + 2, 2:n + 2])
+    plane1 = planes[0].ravel()
+    plane2 = planes[1].ravel()
+    c = math.cos(theta)
+    s = math.sin(theta)
+    cx1 = c * centers[None, :]   # R(-theta) x, the x1 terms
+    sx1 = -s * centers[None, :]
+    rotated = np.empty((n, n, 2))
+    for r in range(0, n, _BLOCK_ROWS):
+        x2 = centers[r:r + _BLOCK_ROWS, None]
+        fx = (cx1 + s * x2 + length) / h - 0.5
+        fy = (sx1 + c * x2 + length) / h - 0.5
+        ix0 = np.floor(fx)
+        iy0 = np.floor(fy)
+        tx = fx - ix0
+        ty = fy - iy0
+        i00 = ((np.clip(iy0, -2, n) + 2) * width
+               + np.clip(ix0, -2, n) + 2).astype(np.intp)
+        w00 = (1 - tx) * (1 - ty)
+        w01 = tx * (1 - ty)
+        w10 = (1 - tx) * ty
+        w11 = tx * ty
+        interp = [w00 * plane.take(i00) + w01 * plane.take(i00 + 1)
+                  + w10 * plane.take(i00 + width) + w11 * plane.take(i00 + width + 1)
+                  for plane in (plane1, plane2)]
+        block = rotated[r:r + _BLOCK_ROWS]
+        block[:, :, 0] = c * interp[0] - s * interp[1]
+        block[:, :, 1] = s * interp[0] + c * interp[1]
+    rotated[~pattern.mask] = 0.0
     with np.errstate(over="raise"):
-        _scaled(copy.values, exp, copy.values)
-    return copy
+        _scaled(rotated, exp, rotated)
+    return SampledField._unchecked(n, pattern.domain, rotated, pattern.mask)
 
 
-def _detect_by_resampling(v: SampledField, u: SampledField,
-                          cfg: DetectorConfig) -> DetectionResult:
-    """``detect``'s loop on samples: quadrature correlation, resampled copy.
+def _detect_by_moments(v: SampledField, u: SampledField) -> DetectionResult:
+    """Answer a pair with a degenerate projection in closed form, from grid moments.
 
-    The samples are scaled by their peaks' powers of two, and a zero one
-    is refused.  Each copy is re-interpolated from the pattern at the
-    summed turn, so interpolation error does not compound, and none
-    follows the last reading: ``corrected`` is one more, built when read.
+    M_ab = sum (z/L)^a conj(z/L)^b f over all cells, with z = x1 + i x2,
+    f = v1 + i v2, L the half side and each sample scaled by its peak's
+    power of two.  A total rotation by t multiplies M_ab by exp(i k t),
+    k = 1 + a - b, where the turn maps the domain to itself.  The answer
+    is the argument of M_00(u) conj(M_00(v)) + M_11(u) conj(M_11(v))
+    (class 1, a constant flow) or, where that is at rounding level
+    (``_DEGENERATE_TOL`` times cells**2), of conj(M_02(u)) M_02(v) (class
+    -1, the double winding): a whole turn, read in 0 iterations.  A
+    four-fold grid mixes classes equal modulo 4, class 1 only with degree
+    4 and up but class 3 (M_20) with M_02, so a pair is refused where the
+    class -1 product is no larger than |M_20(u) M_20(v)|, or at rounding
+    level too, as is a zero sample.
     """
     (v_peak, v_exp), (u_peak, u_exp) = _peak(v.values), _peak(u.values)
     if v_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align against the zero field")
     if u_peak == 0.0:
         raise DegenerateZeroFieldError("cannot align a zero pattern")
-    v = SampledField._unchecked(v.n, v.domain, _scaled(v.values, -v_exp, None), v.mask)
-    current = SampledField._unchecked(u.n, u.domain, _scaled(u.values, -u_exp, None), u.mask)
-    rotate = _resampler(u, u_exp)
+    n = v.n
+    x = v.centers() / v.domain.bounding_half_side
+    powers = np.stack([np.ones(n), x, x * x])
 
-    phi = math.pi
-    alpha_acc = 0.0
-    applied = 0.0
-    iteration = 0
-    kicked = False
-    capped = False
-    readings = []
+    def moments(s: SampledField, exp: int) -> tuple:
+        """(M_00, M_11, M_02, M_20) of s's samples times 2**-exp."""
+        by_row = (powers @ _scaled(s.values, -exp, None).reshape(n, 2 * n)).reshape(3, n, 2)
+        sums = np.tensordot(powers, by_row, axes=(1, 1))   # [p, q]: sum x1^p x2^q (v1, v2)
+        (s00, _, s02), (_, s11, _), (s20, _, _) = (sums[..., 0] + 1j * sums[..., 1]).tolist()
+        return s00, s20 + s02, s20 - s02 - 2j * s11, s20 - s02 + 2j * s11
 
-    while abs(phi) > cfg.eps:
-        if iteration == cfg.max_iter:
-            capped = True
-            break
-        if iteration:
-            current = rotate(applied)
-        iteration += 1
-
-        phi = correlate_sampled(current, v).argument
-        alpha_acc += phi
-        phi, alpha_acc, kicked, branch = _special_case(iteration, phi, alpha_acc, kicked)
-
-        applied += phi
-        readings.append((phi, alpha_acc, branch) if iteration <= 2 else phi)
-
-    corrected = _when_read(u_exp >= _MAX_EXP, _resampled_copy, u, u_exp, applied)
-    return _result(applied, iteration, readings, capped, corrected)
+    (v00, v11, v02, v20), (u00, u11, u02, u20) = moments(v, v_exp), moments(u, u_exp)
+    rounding = _DEGENERATE_TOL * float(n) ** 4
+    turn = u00 * v00.conjugate() + u11 * v11.conjugate()
+    if abs(turn) <= rounding:
+        turn = u02.conjugate() * v02
+        if abs(turn) <= max(rounding, abs(u20 * v20)):
+            raise DegenerateZeroFieldError("no grid moment up to degree 2 answers the two samples")
+    alpha = wrap_angle(math.atan2(turn.imag, turn.real))
+    corrected = _when_read(u_exp >= _MAX_EXP, _resampled_copy, u, u_exp, -alpha)
+    return DetectionResult(alpha=alpha, iterations=0, _readings=(),
+                           status=DetectionStatus.CONVERGED, corrected=corrected)
 
 
 _ORACLE_GRID = 20001

@@ -237,6 +237,21 @@ def test_sample_input_validation():
         sample(saddle(), 8, UNIT_DISK)
 
 
+@pytest.mark.parametrize("field, n", [
+    (lambda x1, x2: (x1, x2), 2.0),
+    (LinearField(1.0, 0.0, 0.0, 1.0), 3.5),
+    (LinearField(1.0, 0.0, 0.0, 1.0), "8"),
+], ids=["closure-2.0", "linear-3.5", "linear-str"])
+def test_sample_refuses_a_non_integer_n_before_laying_out_values(field, n, monkeypatch):
+    # A float n used to reach numpy (a TypeError from np.zeros) or have
+    # its values laid out before SampledField refused it.
+    laid_out = []
+    monkeypatch.setattr("rotalign.fields._grid_values", lambda *args: laid_out.append(args))
+    with pytest.raises(ValueError, match="grid resolution must be an integer"):
+        sample(field, n, UNIT_SQUARE)
+    assert laid_out == []
+
+
 def test_disk_mask_zeroes_outside_cells():
     s = sample(source(UNIT_DISK), 32)
     assert not s.mask[0, 0]

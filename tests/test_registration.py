@@ -7,7 +7,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -42,14 +42,13 @@ from rotalign import (
     wrap_angle,
 )
 from rotalign import TraceEntry, registration
-from rotalign.correlation import correlate_sampled, second_moment
+from rotalign.correlation import second_moment
 from rotalign.fields import _centers, _conjugate, _coordinates, _grid_values
 from rotalign.registration import (
-    _detect_by_resampling,
     _linear_fitter,
     _oracle_scores,
     _peak,
-    _resampler,
+    _resampled_copy,
     _special_case,
     _unit_scaled,
 )
@@ -608,37 +607,33 @@ def test_known_pattern_needs_a_shared_domain():
 # ---------------------------------------------------------------- sampled
 
 def test_detect_sampled_linear_pair(monkeypatch):
-    # detect_sampled projects the pattern, linear or bent by 1e-6; the
-    # resample loop, called directly, answers the bent pair too.
-    loops = _count_loop_calls(monkeypatch)
+    # detect_sampled projects the pattern, linear or bent by 1e-6.
+    by_moments = _count_moment_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     u = total_rotate(v, 0.35)
     cfg = DetectorConfig(eps=1e-4)
     sv, su, bent = sample(v, 256), sample(u, 256), _bent(sample(u, 256), 1e-6)
     results = [detect_sampled(sv, su, cfg), detect_sampled(sv, bent, cfg)]
-    assert loops == []
-    results.append(registration._detect_by_resampling(sv, bent, cfg))
-    assert len(loops) == 1
+    assert by_moments == []
     for result in results:
         assert result.converged()
         assert abs(result.alpha - 0.35) <= 1e-3
 
 
 def test_detect_sampled_aligned_fires_kick(monkeypatch):
-    # Both routes: a sample against itself, linear or bent, projects to
-    # one field twice, and the resample loop, called directly, reads an
-    # exactly zero bivector, as ``detect`` does on a linear pair.
-    loops = _count_loop_calls(monkeypatch)
+    # A sample against itself, linear or bent, projects to one field
+    # twice, and detect reads an exactly zero bivector.
+    by_moments = _count_moment_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     cfg = DetectorConfig(eps=1e-4)
     for bend in (0.0, 1e-6):
         s = _bent(sample(v, 64), bend)
-        for result in (detect_sampled(s, s, cfg), registration._detect_by_resampling(s, s, cfg)):
-            assert result.converged()
-            assert result.trace[0].branch == "perturb"
-            assert [t.branch for t in result.trace].count("perturb") == 1
-            assert angle_distance_mod_pi(result.alpha, 0.0) <= 1e-3
-    assert len(loops) == 2
+        result = detect_sampled(s, s, cfg)
+        assert result.converged()
+        assert result.trace[0].branch == "perturb"
+        assert [t.branch for t in result.trace].count("perturb") == 1
+        assert angle_distance_mod_pi(result.alpha, 0.0) <= 1e-3
+    assert by_moments == []
 
 
 def test_detect_sampled_refuses_a_pattern_whose_copy_overflows():
@@ -748,33 +743,16 @@ def test_resampler_matches_reference_bit_for_bit(domain, n):
     rng = np.random.default_rng(n)
     f = SampledField(n, domain, rng.uniform(-1, 1, (n, n, 2)),
                      sample(LinearField(1.0, 0.0, 0.0, 1.0, domain), n).mask)
-    rotate = _resampler(f, 0)
     for theta in (0.0, 0.3, -0.3, math.pi / 4, math.pi / 2, -math.pi / 2, 2.5, math.pi):
-        assert np.array_equal(rotate(theta).values, _resample_rotated(f, theta).values)
-
-
-@pytest.mark.parametrize("domain, theta, alpha, digest", [
-    (SymmetricDomain.square(1.0), 0.7, 0.7000016576005531,
-     "234ebf461bd707795f617a74799bc80a2d2e56d3cbe97c137d8982700ded26e6"),
-    (UNIT_DISK, -0.7, -0.7000012883964846,
-     "2dcfc0ac2f380f920e2c1ccc0c871e25a91317a038d56fe5824ea38f355c9a83"),
-])
-def test_detect_sampled_is_pinned(domain, theta, alpha, digest):
-    # The answers the reference resampler produced, bit for bit.  Linear
-    # samples now go through the projection, so the loop is called directly.
-    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
-    result = _detect_by_resampling(sample(v, 64), sample(total_rotate(v, theta), 64),
-                                   DetectorConfig(eps=1e-6))
-    assert repr(result.alpha) == repr(alpha)
-    assert result.iterations == 8
-    assert hashlib.sha256(result.corrected.values.tobytes()).hexdigest() == digest
+        assert np.array_equal(_resampled_copy(f, 0, theta).values,
+                              _resample_rotated(f, theta).values)
 
 
 def test_detect_sampled_scale_invariance(monkeypatch):
     # Every route: a linear pattern and one bent by 1e-3 go through the
     # projection, the bent one's copy resampled; a constant flow, whose
-    # projection is zero, goes through the loop.
-    loops = _count_loop_calls(monkeypatch)
+    # projection is zero, is answered by its moments.
+    by_moments = _count_moment_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     u = total_rotate(v, 0.3)
     cfg = DetectorConfig(eps=1e-6)
@@ -784,10 +762,10 @@ def test_detect_sampled_scale_invariance(monkeypatch):
                 return _flow(32, 0.0, k), _flow(32, 0.3, k)
             return sample(scaled(v, k), 32), _bent(sample(scaled(u, k), 32), k * bend)
 
-        loops.clear()
+        by_moments.clear()
         base = detect_sampled(*pair(1.0), cfg)
         assert base.converged()
-        assert len(loops) == route
+        assert len(by_moments) == route
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in (1e200, 1e-200):
@@ -801,19 +779,19 @@ def test_detect_sampled_scale_invariance(monkeypatch):
                 assert r.iterations == base.iterations
                 assert r.trace == base.trace
                 assert np.array_equal(r.corrected.values, base.corrected.values * k)
-        assert len(loops) == 7 * route
+        assert len(by_moments) == 7 * route
 
 
-def _count_loop_calls(monkeypatch) -> list:
-    """Spy on the resample loop: the returned list gains one entry per call."""
+def _count_moment_calls(monkeypatch) -> list:
+    """Spy on the moment route: the returned list gains one entry per call."""
     calls = []
-    loop = registration._detect_by_resampling
+    route = registration._detect_by_moments
 
     def spy(*args):
         calls.append(args)
-        return loop(*args)
+        return route(*args)
 
-    monkeypatch.setattr(registration, "_detect_by_resampling", spy)
+    monkeypatch.setattr(registration, "_detect_by_moments", spy)
     return calls
 
 
@@ -845,34 +823,49 @@ def _offset_fields(domains, count: int):
         yield v, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.4))
 
 
-@pytest.mark.parametrize("domains, n, bend, pairs, looped", [
-    ((SymmetricDomain.square(1.0), UNIT_DISK, SymmetricDomain.square(2.5),
-      SymmetricDomain.disk(0.6)), 32, 0.0, 12, False),
-    ((UNIT_DISK,), 64, 1e-3, 6, True),
-], ids=["projection", "loop"])
-def test_detect_sampled_swapping_samples_negates_offset(monkeypatch, domains, n, bend, pairs,
-                                                        looped):
-    # Off the kick, the swapped run mirrors every step of the forward one
-    # on both routes: gaps measured up to 4.4e-16 on the projection and 0
-    # on the loop.  detect_sampled projects the bent samples, so the loop
-    # is called directly.
-    loops = _count_loop_calls(monkeypatch)
+def _degenerate_pairs(offsets, n: int = 40, k: float = 1.0):
+    """(kind, v, u, offset): a constant flow and the double winding on the unit square
+    and on disks of radius 1 and 2.5, each against its copy turned by every offset,
+    all times k.  Neither has a linear part."""
+    kinds = (("flow", lambda x1, x2: (np.full_like(x1, 0.6 * k), np.full_like(x2, -0.3 * k))),
+             ("winding", lambda x1, x2: tuple(k * w for w in double_winding()(x1, x2))))
+    for domain in (SymmetricDomain.square(1.0), UNIT_DISK, SymmetricDomain.disk(2.5)):
+        for kind, field in kinds:
+            v = sample(field, n, domain)
+            for offset in offsets:
+                yield kind, v, sample(_turned(field, offset), n, domain), offset
+
+
+@pytest.mark.parametrize("route", ["projection", "moments"])
+def test_detect_sampled_swapping_samples_negates_offset(monkeypatch, route):
+    # Off the kick, the swapped projection mirrors every step of the
+    # forward one (gaps measured up to 4.4e-16).  The moment route reads
+    # the conjugate sum, so its answer is negated bit for bit.
+    by_moments = _count_moment_calls(monkeypatch)
     cfg = DetectorConfig(eps=1e-8)
-    detector = registration._detect_by_resampling if looped else detect_sampled
-    for v, offset in _offset_fields(domains, pairs):
-        sv, su = _bent(sample(v, n), bend), _bent(sample(total_rotate(v, offset), n), bend)
-        forward = detector(sv, su, cfg)
-        backward = detector(su, sv, cfg)
+    if route == "projection":
+        domains = (SymmetricDomain.square(1.0), UNIT_DISK, SymmetricDomain.square(2.5),
+                   SymmetricDomain.disk(0.6))
+        pairs = [(sample(v, 32), sample(total_rotate(v, offset), 32))
+                 for v, offset in _offset_fields(domains, 12)]
+    else:
+        pairs = [(v, u) for _, v, u, _ in _degenerate_pairs((0.4, -1.3, 2.9), n=32)]
+    for sv, su in pairs:
+        forward = detect_sampled(sv, su, cfg)
+        backward = detect_sampled(su, sv, cfg)
         assert forward.converged() and backward.converged()
-        assert angle_distance_mod_pi(backward.alpha, -forward.alpha) <= 1e-12
-    assert len(loops) == (2 * pairs if looped else 0)
+        if route == "projection":
+            assert angle_distance_mod_pi(backward.alpha, -forward.alpha) <= 1e-12
+        else:
+            assert backward.alpha == -forward.alpha
+    assert len(by_moments) == (0 if route == "projection" else 2 * len(pairs))
 
 
 def test_detect_sampled_is_rotation_equivariant(monkeypatch):
     # With energy ratios in [0.5, 2] the loop's gain g = 2*n1/(n1 + n2)
     # is at least 2/3, so each run stops within eps*|1 - g|/g <= eps/2 of
     # its offset and two runs differ by at most eps (0.77 eps measured).
-    loops = _count_loop_calls(monkeypatch)
+    by_moments = _count_moment_calls(monkeypatch)
     eps = 1e-8
     cfg = DetectorConfig(eps=eps)
     rng = np.random.default_rng(2122)
@@ -883,24 +876,108 @@ def test_detect_sampled_is_rotation_equivariant(monkeypatch):
         moved = detect_sampled(sample(v, 32), sample(total_rotate(v, offset + s), 32), cfg)
         assert moved.converged()
         assert angle_distance_mod_pi(moved.alpha, base.alpha + s) <= 2 * eps
-    assert loops == []
+    assert by_moments == []
 
 
-def test_detect_sampled_answers_a_flow_without_linear_part_by_the_loop(monkeypatch):
-    # A constant flow (angular class 1) on the disk projects to the zero
-    # linear field, so only the resample loop can answer it.  A turn
-    # multiplies it by exp(i t): the first reading is -t and the second
-    # is zero to rounding.
-    loops = _count_loop_calls(monkeypatch)
+# 24 offsets spaced evenly on (-pi, pi], pi included.
+WHOLE_TURN = [-math.pi + 2.0 * math.pi * (i + 1) / 24 for i in range(24)]
+
+
+def test_detect_sampled_answers_flows_and_windings_by_moments_over_the_whole_turn(monkeypatch):
+    # A constant flow (class 1) and the double winding (class -1, the
+    # paper's counterexample) project to the zero linear field; their
+    # moments answer the whole turn, not a turn modulo pi, in 0 iterations,
+    # with the same bits at every power-of-two scale.
+    by_moments = _count_moment_calls(monkeypatch)
     cfg = DetectorConfig(eps=1e-8)
-    for n in (32, 64):
-        for offset in (0.4, -1.1):
-            loops.clear()
-            result = detect_sampled(_flow(n), _flow(n, offset), cfg)
-            assert len(loops) == 1
-            assert result.converged()
-            assert result.iterations == 2
-            assert abs(result.alpha - offset) <= 1e-12
+    for n in (16, 40, 64):
+        base = [detect_sampled(v, u, cfg) for _, v, u, _ in _degenerate_pairs(WHOLE_TURN, n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (2.0 ** -300, 2.0 ** 300):
+                for want, (kind, v, u, offset) in zip(base, _degenerate_pairs(WHOLE_TURN, n, k)):
+                    got = detect_sampled(v, u, cfg)
+                    assert abs(wrap_angle(got.alpha - offset)) <= 1e-12, (kind, v.domain, offset)
+                    assert got.alpha == want.alpha
+                    assert (got.iterations, got.trace, got.status) == (
+                        0, (), DetectionStatus.CONVERGED)
+                    assert type(vars(got)["_corrected"]) is registration._Deferred
+                    assert np.array_equal(got.corrected.values, want.corrected.values * k)
+    assert len(by_moments) == 3 * 3 * 6 * 24
+
+
+def test_detect_sampled_answers_a_flow_beside_a_class_3_term_on_the_square():
+    # conj(z)^2 is class 3, which the square's four-fold grid mixes with
+    # class -1 (its M_02 is 0.43 of its M_20 there), but not with the
+    # flow's class 1: the flow's moments answer, however large the term.
+    cfg = DetectorConfig(eps=1e-8)
+    square = SymmetricDomain.square(1.0)
+    for w in (0.5, 2.0, 10.0):
+        def field(x1, x2, w=w):
+            return 0.6 + w * (x1 * x1 - x2 * x2), -0.3 - 2.0 * w * x1 * x2
+
+        v = sample(field, 40, square)
+        for offset in (0.4, 2.9, -2.2):
+            got = detect_sampled(v, sample(_turned(field, offset), 40, square), cfg)
+            assert got.iterations == 0
+            assert abs(wrap_angle(got.alpha - offset)) <= 1e-12
+
+
+def test_detect_sampled_refuses_pairs_no_moment_answers():
+    # A flow against a linear field: the linear field has no class 1 or
+    # class -1 moment.  A pure conj(z)^2 pair: its class -1 moment is
+    # only class 3 leaking through the grid, no larger than its class 3
+    # one.  A zero sample on either side.
+    cfg = DetectorConfig(eps=1e-8)
+    flow = lambda x1, x2: (np.full_like(x1, 0.6), np.full_like(x2, -0.3))
+    conj_z2 = lambda x1, x2: (x1 * x1 - x2 * x2, -2.0 * x1 * x2)
+    for domain in (SymmetricDomain.square(1.0), UNIT_DISK):
+        linear = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
+        zero = sample(LinearField(0.0, 0.0, 0.0, 0.0, domain), 40)
+        pairs = [(sample(flow, 40, domain), sample(linear, 40)),
+                 (sample(linear, 40), sample(_turned(flow, 0.4), 40, domain)),
+                 (sample(conj_z2, 40, domain), sample(_turned(conj_z2, 0.4), 40, domain))]
+        for sv, su in pairs:
+            with pytest.raises(DegenerateZeroFieldError, match="no grid moment"):
+                detect_sampled(sv, su, cfg)
+        with pytest.raises(DegenerateZeroFieldError, match="against the zero field"):
+            detect_sampled(zero, sample(flow, 40, domain), cfg)
+        with pytest.raises(DegenerateZeroFieldError, match="a zero pattern"):
+            detect_sampled(sample(flow, 40, domain), zero, cfg)
+
+
+def _cut_pairs(offsets):
+    """(v, u, offset): a linear field and its turned copy on the 32-grid of the unit
+    square without its [:8, :8] corner (rows not mirrored) or its [:, :8] columns
+    (rows mirrored, unequal x1 and x2 weights)."""
+    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+    for cut in (np.s_[:8, :8], np.s_[:, :8]):
+        mask = np.ones((32, 32), bool)
+        mask[cut] = False
+        for offset in offsets:
+            yield (*(SampledField(32, v.domain, np.where(mask[..., None], s.values, 0.0), mask)
+                     for s in (sample(v, 32), sample(total_rotate(v, offset), 32))), offset)
+
+
+def test_detect_sampled_fits_cut_masks_by_least_squares(monkeypatch):
+    # Any mask with two cells off one line through the origin is fitted by
+    # least squares, so a linear pair on a cut mask is fitted exactly and
+    # answered by detect on its projections: 2.3e-8 to 3.0e-8 off, where
+    # the resample loop that took these masks before was up to 5.7e-5 off.
+    by_moments = _count_moment_calls(monkeypatch)
+    cfg = DetectorConfig(eps=1e-6)
+    for sv, su, offset in _cut_pairs((0.4, 1.2, 2.8)):
+        x1, x2 = np.meshgrid(sv.centers(), sv.centers())
+        design = np.stack([x1[sv.mask], x2[sv.mask]], axis=1)
+        fit, share, e = _linear_fitter(sv)(sv.values)
+        want = np.linalg.lstsq(design, sv.values[sv.mask], rcond=None)[0]   # [[a11, a21], [a12, a22]]
+        assert np.allclose(np.ldexp(fit.matrix(), e), want.T, rtol=0.0, atol=1e-14)
+        assert abs(1.0 - share) <= 1e-14
+        got = detect_sampled(sv, su, cfg)
+        assert got.converged()
+        assert angle_distance_mod_pi(got.alpha, offset) <= 1e-5
+        assert vars(got)["_corrected"].func is registration._sampled_copy
+    assert by_moments == []
 
 
 @pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), SymmetricDomain.disk(2.5)])
@@ -924,15 +1001,14 @@ def _linear_by_whole_grid_residual(s: SampledField) -> bool:
     """Whether the whole-grid least-squares fit reproduces s to ``_LINEAR_TOL``.
 
     The reference for the laid-out copy, written out over full arrays:
-    scale by the peak's power of two, a_ij = sum v_i x_j / sum x1^2 (sum
-    x1^2 over the masked cells), the fit's values zero outside the mask,
-    and the residual over every cell.
+    scale by the peak's power of two, fit [x1, x2] over the masked cells
+    by ``np.linalg.lstsq``, the fit's values zero outside the mask, and
+    the residual over every cell.
     """
     w = np.ldexp(s.values, -math.frexp(np.abs(s.values).max())[1])
     x1, x2 = np.meshgrid(s.centers(), s.centers())
-    weight = np.sum(np.where(s.mask, x1 * x1, 0.0))
-    along_x1 = np.einsum("ijk,ij->k", w, x1) / weight   # (a11, a21)
-    along_x2 = np.einsum("ijk,ij->k", w, x2) / weight   # (a12, a22)
+    design = np.stack([x1[s.mask], x2[s.mask]], axis=1)
+    along_x1, along_x2 = np.linalg.lstsq(design, w[s.mask], rcond=None)[0]
     fit = np.where(s.mask[..., None], x1[..., None] * along_x1 + x2[..., None] * along_x2, 0.0)
     tol = registration._LINEAR_TOL
     return np.sum((w - fit) ** 2) <= tol * tol * np.sum(w * w)
@@ -973,39 +1049,24 @@ def _routing_pairs():
             yield sv, _bent(su, bend)
 
 
-def _fits_the_moment_formula(mask: np.ndarray) -> bool:
-    """Whether the mask's rows mirror in x2 and its x1 and x2 weights agree."""
-    x = _centers(SymmetricDomain.square(1.0), len(mask))
-    x1, x2 = np.meshgrid(x, x)
-    return (np.array_equal(mask, mask[::-1])
-            and math.isclose(np.sum(x1 * x1, where=mask), np.sum(x2 * x2, where=mask),
-                             rel_tol=1e-12))
-
-
 def test_detect_sampled_routes_by_the_whole_grid_residual(monkeypatch):
-    # Masks the moment formula fits take the projection and the others the
-    # loop.  On the projection, the pattern's copy is laid out from its
-    # projection exactly when the whole-grid residual is within
+    # Every mask takes the projection.  The pattern's copy is laid out
+    # from its projection exactly when the whole-grid residual is within
     # _LINEAR_TOL, as the Pythagorean residual says, and resampled
     # otherwise; the field's residual does not route.
-    loops = _count_loop_calls(monkeypatch)
+    by_moments = _count_moment_calls(monkeypatch)
     cfg = DetectorConfig(eps=1e-6, max_iter=1)
     routes = []
     for sv, su in _routing_pairs():
-        loops.clear()
         result = detect_sampled(sv, su, cfg)
-        if _fits_the_moment_formula(sv.mask):
-            assert loops == []
-            want = "laid out" if _linear_by_whole_grid_residual(su) else "resampled"
-            build = vars(result)["_corrected"].func
-            assert build is {"laid out": registration._sampled_copy,
-                             "resampled": registration._resampled_copy}[want]
-        else:
-            assert len(loops) == 1
-            want = "loop"
+        want = "laid out" if _linear_by_whole_grid_residual(su) else "resampled"
+        build = vars(result)["_corrected"].func
+        assert build is {"laid out": registration._sampled_copy,
+                         "resampled": registration._resampled_copy}[want]
         routes.append((want, _linear_by_whole_grid_residual(sv)))
-    assert {route for route, _ in routes} == {"laid out", "resampled", "loop"}
-    assert {linear for route, linear in routes if route != "loop"} == {True, False}
+    assert by_moments == []
+    assert {route for route, _ in routes} == {"laid out", "resampled"}
+    assert {linear for _, linear in routes} == {True, False}
 
 
 @pytest.mark.parametrize("peak", [1.5 * 2.0 ** 1023, 1.2 * 2.0 ** 1022, 1.5 * 2.0 ** 1021,
@@ -1121,7 +1182,7 @@ def _count_peak_calls(monkeypatch) -> list:
 
 def test_detect_sampled_reads_the_peak_only_where_the_window_cannot_answer(monkeypatch):
     # A linear pair in the window is fitted unscaled, so no peak is read;
-    # the loop route reads both peaks for its scaled copies, and a sample
+    # the moment route reads both peaks to scale its samples, and a sample
     # outside the window has its peak read for the scaled traversal.
     peaks = _count_peak_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
@@ -1140,7 +1201,7 @@ def test_detect_sampled_reads_the_peak_only_where_the_window_cannot_answer(monke
 def test_the_shared_mask_keeps_its_constants():
     # The mask sample shares on a (domain, n) grid gets its terms once, as
     # read-only arrays equal to _grid_terms of it.  A writable copy of the
-    # mask and a cut read-only mask bypass the cache.
+    # mask and a cut read-only mask bypass the cache, and both are fitted.
     domain = SymmetricDomain.disk(0.91)
     field = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
     cached = registration._shared_grid_terms
@@ -1150,24 +1211,26 @@ def test_the_shared_mask_keeps_its_constants():
     _linear_fitter(su)
     after = cached.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    x, ones_x2, weight, projects = kept = cached(domain, 48)
+    x, ones_x2, w1, w2, w12 = kept = cached(domain, 48)
     want = registration._grid_terms(domain, 48, sv.mask)
     assert [a.tobytes() for a in kept[:2]] == [a.tobytes() for a in want[:2]]
-    assert (weight.hex(), projects) == (want[2].hex(), True)
+    assert [w.hex() for w in kept[2:]] == [w.hex() for w in want[2:]]
+    assert (w1, w12) == (w2, 0.0)
     assert not (x.flags.writeable or ones_x2.flags.writeable)
     writable = sv.mask.copy()
     cut = sv.mask.copy()
     cut[:, :8] = False
     cut.flags.writeable = False
-    for mask, projects in ((writable, True), (cut, False)):
+    for mask in (writable, cut):
         other = SampledField(sv.n, domain, np.where(mask[..., None], sv.values, 0.0), mask)
         before = cached.cache_info()
         fit = _linear_fitter(other)(other.values)
         assert cached.cache_info() == before
-        assert (fit[0] is not None) is projects
+        assert fit[0] is not None
         terms = registration._grid_terms(domain, 48, mask)
-        assert terms[3] is projects
         assert math.isclose(terms[2], np.sum(np.where(mask, x * x, 0.0)), rel_tol=1e-12)
+        assert math.isclose(terms[3], np.sum(np.where(mask.T, x * x, 0.0)), rel_tol=1e-12)
+        assert terms[4] == 0.0   # its rows still mirror
 
 
 def test_the_kept_constants_let_their_mask_go():
@@ -1208,7 +1271,7 @@ def test_detect_sampled_projection_makes_no_full_size_temporaries(domain, monkey
     # one call's traced peak, the corrected copy it returns included, stays
     # within 1.5 values-sized arrays.  The copy is laid out when first
     # read, so it is read inside the window.
-    loops = _count_loop_calls(monkeypatch)
+    by_moments = _count_moment_calls(monkeypatch)
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4), domain)
     sv, su = sample(v, 256), sample(total_rotate(v, 0.7), 256)
     tracemalloc.start()
@@ -1219,7 +1282,7 @@ def test_detect_sampled_projection_makes_no_full_size_temporaries(domain, monkey
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert loops == []
+    assert by_moments == []
     assert result.converged()
     assert peak <= 1.5 * sv.values.nbytes
 
@@ -1264,8 +1327,8 @@ def test_deferred_copies_equal_the_eager_build(monkeypatch):
     # detect and every detect_sampled route: read later, the copy has the
     # bytes it has when built during the call.  detect and the laid-out
     # copy defer it exactly when the pattern's exponent is below the top
-    # four, and the resampled copy (a 1e-3 bend, or a constant flow on the
-    # loop) below the top one, where no copy can overflow.
+    # four, and the resampled copy (a 1e-3 bend, or a constant flow
+    # answered by its moments) below the top one, where no copy can overflow.
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     u = total_rotate(v, 0.7)
     cfg = DetectorConfig(eps=1e-6)
@@ -1282,7 +1345,7 @@ def test_deferred_copies_equal_the_eager_build(monkeypatch):
             cases.append((kind, lambda su=su: detect_sampled(sample(v, 32), su, cfg), exp < below))
         flow = _flow(32, 0.7, 2.5 * k)
         exp = math.frexp(np.abs(flow.values).max())[1]
-        cases.append(("loop", lambda flow=flow: detect_sampled(_flow(32), flow, cfg), exp < top))
+        cases.append(("moments", lambda flow=flow: detect_sampled(_flow(32), flow, cfg), exp < top))
         for kind, call, defers in cases:
             r = call()
             assert (type(vars(r)["_corrected"]) is registration._Deferred) == defers
@@ -1295,7 +1358,7 @@ def test_deferred_copies_equal_the_eager_build(monkeypatch):
             else:
                 assert r.corrected.values.tobytes() == now.values.tobytes()
                 assert r.corrected.mask is now.mask
-    assert kinds == {(kind, defers) for kind in ("detect", "laid out", "resampled", "loop")
+    assert kinds == {(kind, defers) for kind in ("detect", "laid out", "resampled", "moments")
                      for defers in (True, False)}
 
 
@@ -1333,7 +1396,7 @@ def _turned_flow(k: float, t: float):
 
 
 def test_detect_sampled_refuses_during_the_call_a_copy_that_outgrows_its_samples():
-    # Both routes.  The loop: a constant flow (k, k) turned onto (0, 1)
+    # Both routes.  The moments: a constant flow (k, k) turned onto (0, 1)
     # peaks sqrt(2) times above its samples.  The projection: a flow
     # plus a small linear part, an eighth of a turn away, is not linear,
     # so its copy is resampled; it peaks 1.37 times above its samples.
@@ -1366,9 +1429,9 @@ def test_detect_sampled_refuses_during_the_call_a_copy_that_outgrows_its_samples
 
 
 def _route_pairs():
-    """(v, u, resampled) on each route: projection with a laid-out or a resampled copy, loop.
+    """(v, u, resampled) on each route: projection with a laid-out or a resampled copy, moments.
 
-    The loop's copy is resampled from the pattern too.
+    The moment route's copy is resampled from the pattern too.
     """
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     yield sample(v, 32), sample(total_rotate(v, 0.4), 32), False
@@ -1379,7 +1442,7 @@ def _route_pairs():
 def test_detect_sampled_results_hold_no_sample_values():
     # Every route: once the samples are dropped, their values are freed,
     # and the copy is still there to read.  A pattern whose copy is
-    # resampled (a bent one, or any on the loop) is the exception: it is
+    # resampled (a bent one, or any answered by moments) is the exception: it is
     # held until the copy is read.
     cfg = DetectorConfig(eps=1e-6, max_iter=6)
     for sv, su, resampled in _route_pairs():
@@ -1440,7 +1503,7 @@ LINEAR_ROUTE_CASES = [
 
 @pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), SymmetricDomain.disk(2.5)])
 def test_detect_sampled_projects_linear_samples(domain, monkeypatch):
-    loops = _count_loop_calls(monkeypatch)
+    by_moments = _count_moment_calls(monkeypatch)
     seen = set()
     for v, offset, cfg in LINEAR_ROUTE_CASES:
         v = LinearField(*v.coefficients(), domain)
@@ -1457,7 +1520,7 @@ def test_detect_sampled_projects_linear_samples(domain, monkeypatch):
         assert np.allclose(got.corrected.values, expected, rtol=0.0,
                            atol=1e-13 * np.abs(expected).max())
     assert seen == {None, "perturb", "halve", "lock"}
-    assert loops == []
+    assert by_moments == []
 
 
 def _turned(field, t: float):
@@ -1507,12 +1570,12 @@ def _nonlinear_pairs(domain, n: int, draws: int):
 @pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), UNIT_DISK])
 def test_detect_sampled_projects_nonlinear_samples(domain, monkeypatch):
     # Non-linear samples are answered by detect on their two projections,
-    # never by the loop.  On the disk the projection commutes with total
-    # rotation; on the square it does not, yet every converged draw lands
-    # within 1e-5 of its offset (mod pi).  A draw may cap, but none
+    # never by their moments.  On the disk the projection commutes with
+    # total rotation; on the square it does not, yet every converged draw
+    # lands within 1e-5 of its offset (mod pi).  A draw may cap, but none
     # converges further off.  The copy is the pattern resampled once at
-    # the answer, turned back onto the field as the loop turns it.
-    loops = _count_loop_calls(monkeypatch)
+    # the answer.
+    by_moments = _count_moment_calls(monkeypatch)
     cfg = DetectorConfig(eps=1e-8, max_iter=2000)
     statuses = []
     for name, sv, su, offset in _nonlinear_pairs(domain, 64, 3):
@@ -1523,103 +1586,14 @@ def test_detect_sampled_projects_nonlinear_samples(domain, monkeypatch):
         got = detect_sampled(sv, su, cfg)
         assert got.alpha.hex() == want.alpha.hex()
         assert (got.iterations, got.status) == (want.iterations, want.status)
-        assert got.corrected.values.tobytes() == _resampler(su, 0)(-got.alpha).values.tobytes()
+        assert got.corrected.values.tobytes() == _resampled_copy(su, 0, -got.alpha).values.tobytes()
         statuses.append(got.status)
         if got.converged():
             assert angle_distance_mod_pi(got.alpha, offset) <= 1e-5, name
         else:
             assert got.status is DetectionStatus.MAX_ITER_EXCEEDED
-    assert loops == []
+    assert by_moments == []
     assert len(statuses) == 12 and DetectionStatus.CONVERGED in statuses
-
-
-def test_detect_sampled_loops_where_the_projection_cannot_answer(monkeypatch):
-    # A constant flow and the double winding project to zero.  Two masks
-    # do not fit the moment formula: a square without one corner, whose
-    # rows do not mirror in x2 (its x1 and x2 weights are equal, as it is
-    # its own transpose), and a square without its left columns, whose
-    # rows mirror but whose weights differ.  All four reach the loop, and
-    # answer as it does when called directly.
-    loops = _count_loop_calls(monkeypatch)
-    cfg = DetectorConfig(eps=1e-6, max_iter=50)
-    flow = detect_sampled(_flow(32), _flow(32, 0.4), cfg)
-    assert len(loops) == 1
-    assert flow.converged() and abs(flow.alpha - 0.4) <= 1e-12
-
-    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
-    pairs = [[sample(double_winding(t), 64, UNIT_DISK) for t in (0.0, 0.3)]]
-    for cut in (np.s_[:8, :8], np.s_[:, :8]):
-        mask = np.ones((32, 32), bool)
-        mask[cut] = False
-        pairs.append([SampledField(32, v.domain, np.where(mask[..., None], s.values, 0.0), mask)
-                      for s in (sample(v, 32), sample(total_rotate(v, 0.4), 32))])
-    for sv, su in pairs:
-        loops.clear()
-        got = detect_sampled(sv, su, cfg)
-        assert len(loops) == 1
-        want = registration._detect_by_resampling(sv, su, cfg)
-        assert got.alpha.hex() == want.alpha.hex()
-        assert (got.iterations, got.status) == (want.iterations, want.status)
-    for sv, su in pairs[1:]:
-        assert abs(detect_sampled(sv, su, cfg).alpha - 0.4) <= 1e-3
-
-
-def _with_outside_value(s: SampledField) -> SampledField:
-    """s with one value in two opposite corner cells, outside the disk: their moments cancel."""
-    values = s.values.copy()
-    values[0, 0] = values[-1, -1] = (0.25, -0.5)
-    return SampledField(s.n, s.domain, values, s.mask)
-
-
-@pytest.mark.parametrize("kind", ["double-winding", "quadratic-bend", "outside-value"])
-def test_detect_sampled_loops_over_nonlinear_samples(kind, monkeypatch):
-    # The double winding has no linear part, and neither has it bent by
-    # x1*x2 in one component, or with values outside the disk whose
-    # moments cancel, so all three reach the loop with their samples.
-    loops = _count_loop_calls(monkeypatch)
-    cfg = DetectorConfig(eps=1e-6, max_iter=6)
-    sv = sample(double_winding(), 32, UNIT_DISK)
-    su = sample(double_winding(0.4), 32, UNIT_DISK)
-    if kind == "quadratic-bend":
-        su = _bent(su, 1e-6)
-    if kind == "outside-value":
-        su = _with_outside_value(su)
-    want = _detect_by_resampling(sv, su, cfg)
-    got = detect_sampled(sv, su, cfg)
-    assert len(loops) == 1
-    assert got.alpha == want.alpha
-    assert got.iterations == want.iterations
-    assert got.status is want.status
-    assert got.trace == want.trace
-    assert got.corrected.values.tobytes() == want.corrected.values.tobytes()
-
-
-def test_the_loop_resamples_once_per_reading_after_the_first(monkeypatch):
-    # Reading 1 reads the pattern itself and every later reading one copy;
-    # no copy follows the last reading.  The first read of corrected
-    # resamples once more, at the summed turn, and a second read does not.
-    turns = []
-    resampler = registration._resampler
-
-    def spy(*args):
-        rotate = resampler(*args)
-        return lambda theta: turns.append(theta) or rotate(theta)
-
-    monkeypatch.setattr(registration, "_resampler", spy)
-    pairs = [(_flow(32), _flow(32, 0.4)),
-             [sample(double_winding(t), 32, UNIT_DISK) for t in (0.0, 0.3)]]
-    iterations = set()
-    for sv, su in pairs:
-        for cfg in (DetectorConfig(eps=1e-6, max_iter=cap) for cap in (1, 3, 20)):
-            turns.clear()
-            result = detect_sampled(sv, su, cfg)
-            iterations.add(result.iterations)
-            assert len(turns) == result.iterations - 1
-            copy = result.corrected
-            assert len(turns) == result.iterations
-            assert turns[-1] == list(accumulate(t.phi for t in result.trace))[-1]
-            assert result.corrected is copy and len(turns) == result.iterations
-    assert iterations == {1, 2, 3, 20}
 
 
 def _projection_sweep():
@@ -1712,14 +1686,14 @@ PROJECTION_PINS = [
 def test_detect_sampled_projection_route_is_pinned(monkeypatch):
     # Iterations, status and branches exactly; alpha to 1e-14 mod pi, since
     # moments summed in another order may move the fit by a few ulps.
-    loops = _count_loop_calls(monkeypatch)
+    by_moments = _count_moment_calls(monkeypatch)
     got = []
     for sv, su, cfg in _projection_sweep():
         r = detect_sampled(sv, su, cfg)
         assert [t.branch for t in r.trace[2:]] == [None] * (r.iterations - 2)
         got.append((r.alpha, r.iterations, r.status.value,
                     tuple(t.branch for t in r.trace[:2])))
-    assert loops == []
+    assert by_moments == []
     assert len(got) == len(PROJECTION_PINS)
     for (alpha, *rest), (want_alpha, *want_rest) in zip(got, PROJECTION_PINS):
         assert rest == want_rest
@@ -1874,19 +1848,6 @@ def _eager_linear_trace(v: LinearField, u: LinearField, cfg: DetectorConfig) -> 
     return _eager_trace(read, turn, cfg)
 
 
-def _eager_resampled_trace(v: SampledField, u: SampledField, cfg: DetectorConfig) -> tuple:
-    """``_detect_by_resampling``'s trace, resampling the copy at the applied angle."""
-    rotate = _resampler(u, 0)
-    current, applied = u, 0.0
-
-    def turn(phi: float) -> None:
-        nonlocal current, applied
-        applied += phi
-        current = rotate(applied)
-
-    return _eager_trace(lambda: correlate_sampled(current, v).argument, turn, cfg)
-
-
 def _trace_families():
     """(v, u) linear pairs: random, pure saddle, pure invariant, quarter turn, near pure."""
     rng = np.random.default_rng(1616)
@@ -1936,7 +1897,7 @@ def test_detection_results_compare_hash_replace_and_pickle_by_their_trace():
 
 
 def test_detect_sampled_results_compare_by_value_and_do_not_hash():
-    # Every route: linear and bent samples (projection) and flows (loop).
+    # Every route: linear and bent samples (projection) and flows (moments).
     v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
     cfg = DetectorConfig(eps=1e-6)
     other = detect_sampled(sample(v, 32), sample(total_rotate(v, 0.5), 32), cfg)
@@ -1949,12 +1910,16 @@ def test_detect_sampled_results_compare_by_value_and_do_not_hash():
     assert hash(detect(v, total_rotate(v, 0.4), cfg)) == hash(detect(v, total_rotate(v, 0.4), cfg))
 
 
+def _no_trace(v: SampledField, u: SampledField) -> tuple:
+    """The moment route's trace: it reads nothing, so it records nothing."""
+    return ()
+
+
 def test_detect_sampled_trace_matches_an_eager_reference(monkeypatch):
     # Both routes: the reference runs on the inputs detect_sampled hands
-    # to detect (linear and bent samples) or to the resample loop (flows).
+    # to detect (linear and bent samples) or to the moment route (flows).
     handed = []
-    for name, reference in (("detect", _eager_linear_trace),
-                            ("_detect_by_resampling", _eager_resampled_trace)):
+    for name, reference in (("detect", _eager_linear_trace), ("_detect_by_moments", _no_trace)):
         def spy(*args, inner=getattr(registration, name), reference=reference):
             handed.append((reference, args))
             return inner(*args)
@@ -1975,4 +1940,4 @@ def test_detect_sampled_trace_matches_an_eager_reference(monkeypatch):
             assert r.trace is r.trace
             assert all(type(e) is TraceEntry for e in r.trace)
             assert repr(r.trace) == repr(reference(*args))
-    assert routes == {_eager_linear_trace, _eager_resampled_trace}
+    assert routes == {_eager_linear_trace, _no_trace}
