@@ -47,17 +47,12 @@ on the first negative reading, which is the common case.
 
 Linear fields are closed under total rotation, so the loop updates the
 copy exactly (the saddle coefficient pair rotates by 2*phi) instead of
-resampling.  ``detect_sampled`` is the grid-backed entry point.  It
-projects both samples onto linear fields by least squares over their
-mask, reading each sample once for its moments and its energy, unscaled
-unless the energy leaves a window far inside the double range; the grid
-terms of the mask ``sample`` shares are computed once per (domain, n).
-The projection is the degree-1 term of a field's power series, and on a
-disk it commutes with total rotation, so whenever neither projection is
-degenerate it answers with ``detect`` on the projections, linear samples
-or not.  A pair with a degenerate projection (the constant flow, the
-double winding) is answered in closed form from grid moments of degree
-up to 2, as a whole turn, or refused: no route iterates on samples.
+resampling.  ``detect_sampled``, the grid-backed entry point, fits both
+samples by a constant plus a linear field, reading each once; the linear
+part, the degree-1 term of the power series, commutes with total
+rotation on a disk, so ``detect`` answers on those projections.  A pair
+with a degenerate projection (the flow, the double winding) is answered
+from grid moments of degree up to 2, as a whole turn, or refused.
 
 A result's ``corrected`` copy is a by-product of the answer, so
 every route keeps only what it is built from (the turned saddle pair,
@@ -121,10 +116,9 @@ __all__ = [
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
 _ZERO_TOL = 1e-9
-# A projection holding at most this share of its sample's energy, or a
-# pair of projections correlating at most this share of their norms,
-# counts as zero: the sample has no linear part to answer with.  So does
-# a product of two grid moments at most this share of cells**2.
+# A linear part holding at most this share of its sample's energy about the
+# mean, projections correlating at most this share of their norms, and a
+# product of two grid moments at most this share of cells**2 count as zero.
 _DEGENERATE_TOL = 1e-12
 # Relative residual under which a pattern's corrected copy is laid out
 # from its projection.  The Pythagorean residual of an exactly linear
@@ -576,18 +570,23 @@ def _peak(values: np.ndarray) -> tuple:
 
 
 def _grid_terms(domain: SymmetricDomain, n: int, mask: np.ndarray) -> tuple:
-    """(x, [1; x2], W1, W2, W12): the n-grid's centers, ones stacked on them, and the
-    sums of x1^2, x2^2 and x1*x2 over the mask's cells.
+    """(x, [1; x2], N, S1, S2, W1, W2, W12): the n-grid's centers, ones stacked on
+    them, and the mask's sums of 1, x1, x2, x1^2, x2^2 and x1*x2.
 
-    W12 is 0 where the rows mirror in x2.  The centers are not exactly
-    antisymmetric, so summing it there would leave a rounding residue."""
+    Sums odd in x2 (x1) are 0 where the rows (columns) mirror: the centers
+    are not exactly antisymmetric, so summing would leave a residue."""
     x = _centers(domain, n)
     squares = x * x
     cells_in = mask.view(np.uint8)
-    w1 = float(cells_in.sum(axis=0, dtype=np.uint32) @ squares)
-    w2 = float(cells_in.sum(axis=1, dtype=np.uint32) @ squares)
-    w12 = 0.0 if np.array_equal(mask, mask[::-1]) else float(x @ (cells_in @ x))
-    return x, np.stack([np.ones(n), x]), w1, w2, w12
+    per_column = cells_in.sum(axis=0, dtype=np.uint32)
+    per_row = cells_in.sum(axis=1, dtype=np.uint32)
+    rows_mirror = np.array_equal(mask, mask[::-1])
+    columns_mirror = np.array_equal(mask, mask[:, ::-1])
+    s1 = 0.0 if columns_mirror else float(per_column @ x)
+    s2 = 0.0 if rows_mirror else float(per_row @ x)
+    w12 = 0.0 if rows_mirror or columns_mirror else float(x @ (cells_in @ x))
+    return (x, np.stack([np.ones(n), x]), float(per_row.sum()), s1, s2,
+            float(per_column @ squares), float(per_row @ squares), w12)
 
 
 @lru_cache(maxsize=64)
@@ -600,61 +599,52 @@ def _shared_grid_terms(domain: SymmetricDomain, n: int) -> tuple:
     return terms
 
 
-# The window in which ``fit`` sums a sample unscaled: its energy E and
-# E / W both within (2**-900, 2**900), for W each pivot of the Gram system
-# (W1 and W2 where W12 = 0).  A domain's half side lies in (2**-256,
-# 2**256), as its second moment is a normal double, so for n < 2**16
-# every center lies in (2**-272, 2**256) in size.  In the window the peak
-# p lies in (2**-467, 2**450), as p^2 <= E <= 2 n^2 p^2; p times a center
-# lies in (2**-739, 2**706) and a moment is below 2**738.  Where W12 = 0,
-# W1 * sum a_i1^2 + W2 * sum a_i2^2 <= E, so each coefficient is below
-# 2**450, and a projection holding more than 1e-12 of E has its terms
-# above 2**-940.  So the terms of the peak's size, their sums and the fit
-# and share made of them are normal doubles, and round as they do on the
-# samples scaled by a power of two: the fit is the scaled fit times that
-# power, and the share is the same.  Terms more than 2**-250 below the
-# peak may round otherwise, where one of the two underflows; they change
-# a sum only where no larger term enters it (a component far below the
-# other).
+# The window in which ``fit`` sums a sample unscaled: E and E / W in
+# (2**-900, 2**900), W each pivot about the centroid.  For n < 2**16 a
+# center lies in (2**-272, 2**256), the peak p in (2**-467, 2**450) (p^2
+# <= E <= 2 n^2 p^2), a moment below 2**738, and as a pivot times its
+# coefficient squared is at most E, a coefficient below 2**450, a linear
+# part above 1e-12 of E having terms above 2**-940.  All are normal
+# doubles that round as on samples scaled by a power of two: the fit
+# scales exactly, the share is the same.  Terms over 2**250 below the
+# peak may round otherwise, where no larger term enters their sum.
 _WINDOW = 2.0 ** 900
 
 
 def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
     """Prepare ``fit(values)`` for samples on ``grid``'s cells and mask.
 
-    ``fit`` returns (field, share, exp): the least-squares linear field
-    of values * 2**-exp and the share of those values' energy that it
-    holds.  Each component's (a_i1, a_i2) solves the Gram system
-    [[W1, W12], [W12, W2]] a_i = m_i, m_i = (sum v_i x1, sum v_i x2), with
-    the W of ``_grid_terms``; where W12 = 0 (every domain's mask) a_ij =
-    m_ij / Wj.  The fit holds a . m of the energy (Pythagoras, so the
-    share needs no pass over a residual).  Where a pivot is not positive
-    (the mask's cells lie on one line through the origin) ``fit`` reads
-    nothing and returns (None, 0.0, 0), as it does for a zero sample.
-    The moments and the energy run over every cell, which is the masked
-    grid when the cells outside the domain hold zero, as ``sample``
-    leaves them.
+    ``fit`` returns (field, share, exp): the linear part of the
+    least-squares fit of values * 2**-exp by a constant plus a linear
+    field, and 1 - |values - field|^2 / energy.  With the constant
+    eliminated, each component solves V a_i = r_i about the centroid (V =
+    W - S S^T / N, r_i = m_i - S sum v_i / N); where S = W12 = 0 (every
+    domain's mask) a_ij = m_ij / Wj.  The linear part holds a . r of the
+    energy about the mean (Pythagoras), and the share adds 2 g . sum v -
+    N |g|^2, g its values at the centroid.  ``fit`` returns (None, 0.0,
+    0) where a . r is at most ``_DEGENERATE_TOL`` of the energy, where a
+    pivot is not positive (cells on one line; nothing is read) and for a
+    zero sample.  Cells outside the domain hold zero, as ``sample`` leaves.
 
-    One traversal reads each value once, in blocks of ``_BLOCK_ROWS``
-    rows, and adds the block's column sums and x2-weighted rows (one
-    ``[1; x2] @ block`` product) and its energy.  It sums the samples as
-    they are, with exp = 0, wherever their energy lies in the window
-    derived at ``_WINDOW``; only a sample outside it (a zero sample, a
-    subnormal peak, a peak near overflow) has ``_peak`` read and the
-    traversal rerun on blocks scaled by 2**-exp of it into one
-    cache-sized buffer.
+    One traversal reads each value once, ``_BLOCK_ROWS`` rows at a time,
+    adding a ``[1; x2] @ block`` product and the energy, unscaled (exp =
+    0) inside the window of ``_WINDOW``; outside it the traversal reruns
+    on blocks scaled by 2**-exp of ``_peak`` into one buffer.
     """
     n = grid.n
     key = grid.domain, n
-    x, ones_x2, w1, w2, w12 = (_shared_grid_terms(*key) if grid.mask is _MASKS.get(key)
-                               else _grid_terms(*key, grid.mask))
-    # Elimination without squares of the W, which could overflow: pivots w1 and pivot.
-    ratio = w12 / w1 if w1 > 0.0 else 0.0
-    pivot = w2 - ratio * w12
-    solvable = w1 > 0.0 and pivot > 0.0
+    x, ones_x2, count, s1, s2, w1, w2, w12 = (
+        _shared_grid_terms(*key) if grid.mask is _MASKS.get(key) else _grid_terms(*key, grid.mask))
+    centered = bool(s1 or s2)
+    mean1, mean2 = (s1 / count, s2 / count) if centered else (0.0, 0.0)
+    v1, v2, v12 = w1 - mean1 * s1, w2 - mean2 * s2, w12 - mean1 * s2
+    # Elimination without squares of the W, which could overflow: pivots v1 and pivot.
+    ratio = v12 / v1 if v1 > 0.0 else 0.0
+    pivot = v2 - ratio * v12
+    solvable = v1 > 0.0 and pivot > 0.0
     blocks = _blocks(n)
     low = max(1.0, w1, w2) / _WINDOW
-    high = min(1.0, w1, pivot) * _WINDOW
+    high = min(1.0, v1, pivot) * _WINDOW
 
     def sums(rows: np.ndarray, exp: int) -> tuple:
         """The moments and the energy of rows * 2**-exp."""
@@ -686,16 +676,25 @@ def _linear_fitter(grid: SampledField) -> Callable[[np.ndarray], tuple]:
         # x2-weighted rows over the cells.
         along_x1 = x @ moments[0].reshape(n, 2)
         along_x2 = moments[1].reshape(n, 2).sum(axis=0)
-        if w12:
+        if centered:
+            total = moments[0].reshape(n, 2).sum(axis=0)
+            along_x1 = along_x1 - mean1 * total
+            along_x2 = along_x2 - mean2 * total
+        if v12:
             a2 = (along_x2 - ratio * along_x1) / pivot
-            a1 = (along_x1 - w12 * a2) / w1
+            a1 = (along_x1 - v12 * a2) / v1
         else:
-            a1 = along_x1 / w1
-            a2 = along_x2 / w2
+            a1 = along_x1 / v1
+            a2 = along_x2 / v2
+        held = float(a1 @ along_x1 + a2 @ along_x2)
+        if not held / energy > _DEGENERATE_TOL:
+            return None, 0.0, 0
+        if centered:
+            at_mean = a1 * mean1 + a2 * mean2
+            held += float(at_mean @ (2.0 * total - count * at_mean))
         linear = LinearField(float(a1[0]), float(a2[0]), float(a1[1]), float(a2[1]),
                              grid.domain)
-        share = float(a1 @ along_x1 + a2 @ along_x2) / energy
-        return linear, share, exp
+        return linear, held / energy, exp
 
     return fit
 
@@ -709,43 +708,29 @@ def detect_sampled(v: SampledField, u: SampledField,
                    cfg: DetectorConfig = DetectorConfig()) -> DetectionResult:
     """Grid-backed detection: ``detect`` on the samples' linear projections.
 
-    Each field is projected onto a linear field by least squares over
-    its mask (``_linear_fitter``, which sums the samples as they are
-    wherever their energy allows and scales them by a power of two
-    elsewhere), so the answer is the same at any scale.  On a disk the
-    projection commutes with total rotation; on a square, which a turn
-    does not map to itself, only approximately.  When neither
-    projection is degenerate (each holds more than ``_DEGENERATE_TOL`` =
-    1e-12 of its sample's energy) the answer is ``detect`` on the two
-    projections, and no copy of either sample is made.  ``corrected`` is
-    then built when first read: for a pattern within ``_LINEAR_TOL`` =
-    1e-6 of its projection (relative residual over all cells), the
-    masked samples of detect's corrected field; for any other, the
-    pattern resampled once at the answer, and the result holds the
-    pattern until then.  A resampled copy reads zero where a turned
-    position falls outside the grid, so on the square the corners turned
-    in from outside are zero-filled, and ``corrected`` can lie farther
-    from the field than the pattern does.  A pair with a degenerate
-    projection (a constant flow, the double winding) is answered in
-    closed form from its grid moments by ``_detect_by_moments``, as a
-    whole turn, or refused; its ``corrected`` is the pattern resampled
-    once at the answer, built when first read as well.  No route
-    iterates on the samples.  Either way ``corrected`` is at the
-    pattern's scale.  A turned copy can peak above the samples, and a
-    pattern whose copy would then overflow is refused with
+    Each sample is fitted by a constant plus a linear field over its mask
+    (``_linear_fitter``); the linear part, its projection, commutes with
+    total rotation on a disk and approximately on a square.  Where
+    neither is degenerate the answer is ``detect`` on the projections,
+    and ``corrected``, built when first read, is detect's corrected field
+    sampled for a pattern within ``_LINEAR_TOL`` of its projection, else
+    the pattern resampled once at the answer (zero where a turned
+    position leaves the grid).  A degenerate pair (a flow, the double
+    winding) is answered or refused by ``_detect_by_moments``, with the
+    resampled copy.  No route iterates.  ``corrected`` is at the
+    pattern's scale; one that would overflow is refused with
     ``ValueError`` during the call.
     """
     if not v.compatible_with(u):
         raise DomainMismatchError("detect_sampled needs matching sampled fields")
     fit = _linear_fitter(v)
-    v_fit, v_share, _ = fit(v.values)
-    u_fit, u_share, u_exp = fit(u.values) if v_share > _DEGENERATE_TOL else (None, 0.0, 0)
+    v_fit, _, _ = fit(v.values)
+    u_fit, u_share, u_exp = fit(u.values) if v_fit is not None else (None, 0.0, 0)
 
-    # A turned copy can peak above its pattern (by up to sqrt(2) for a
-    # saddle on the square), so it may overflow where the samples did not.
+    # A turned copy can peak above its pattern (up to sqrt(2) for a saddle on the square).
     try:
-        if u_share <= _DEGENERATE_TOL:
-            return _detect_by_moments(v, u)
+        if u_fit is None:
+            return _detect_by_moments(v, u, cfg)
         # The projections carry rounding noise, so detect's test for a
         # pair that no turn correlates is taken relative to their norms.
         (v_saddle, v_invariant), (u_saddle, u_invariant) = map(_pair_norms, (v_fit, u_fit))
@@ -840,21 +825,23 @@ def _resampled_copy(pattern: SampledField, exp: int, theta: float) -> SampledFie
     return SampledField._unchecked(n, pattern.domain, rotated, pattern.mask)
 
 
-def _detect_by_moments(v: SampledField, u: SampledField) -> DetectionResult:
+def _detect_by_moments(v: SampledField, u: SampledField, cfg: DetectorConfig) -> DetectionResult:
     """Answer a pair with a degenerate projection in closed form, from grid moments.
 
-    M_ab = sum (z/L)^a conj(z/L)^b f over all cells, with z = x1 + i x2,
-    f = v1 + i v2, L the half side and each sample scaled by its peak's
-    power of two.  A total rotation by t multiplies M_ab by exp(i k t),
-    k = 1 + a - b, where the turn maps the domain to itself.  The answer
-    is the argument of M_00(u) conj(M_00(v)) + M_11(u) conj(M_11(v))
-    (class 1, a constant flow) or, where that is at rounding level
-    (``_DEGENERATE_TOL`` times cells**2), of conj(M_02(u)) M_02(v) (class
-    -1, the double winding): a whole turn, read in 0 iterations.  A
-    four-fold grid mixes classes equal modulo 4, class 1 only with degree
-    4 and up but class 3 (M_20) with M_02, so a pair is refused where the
-    class -1 product is no larger than |M_20(u) M_20(v)|, or at rounding
-    level too, as is a zero sample.
+    M_ab = sum (z/L)^a conj(z/L)^b f over all cells (z = x1 + i x2, f =
+    v1 + i v2, L the half side, samples scaled by their peaks' powers of
+    two) reads class k = 1 + a - b, which a turn by t multiplies by
+    exp(i k t).  The answer, a whole turn in 0 iterations, is the
+    argument of M_00(u) conj(M_00(v)) + M_11(u) conj(M_11(v)) (class 1),
+    or where that is below ``_DEGENERATE_TOL`` cells**2, of conj(D(u))
+    D(v) (class -1): D = S (S M_02 - conj(T) M_20) / (S^2 - |T|^2), S and
+    T the mask's sums of |z|^4 and z^4, is the z^2 coefficient of the fit
+    by z^2 and conj(z)^2, times S, so the conj(z)^2 that a four-fold grid
+    mixes into M_02 drops out.  Refused: D that small too, a mask that
+    does not tell z^2 from conj(z)^2, a zero sample.  ``CONVERGED`` where
+    the pattern's moments are the field's turned by the answer within
+    cfg.eps of their size; else ``MAX_ITER_EXCEEDED`` (a class mixed in
+    from degree 4 on, a pattern of another size).
     """
     (v_peak, v_exp), (u_peak, u_exp) = _peak(v.values), _peak(u.values)
     if v_peak == 0.0:
@@ -874,15 +861,33 @@ def _detect_by_moments(v: SampledField, u: SampledField) -> DetectionResult:
 
     (v00, v11, v02, v20), (u00, u11, u02, u20) = moments(v, v_exp), moments(u, u_exp)
     rounding = _DEGENERATE_TOL * float(n) ** 4
+    field, pattern = (v00, v11), (u00, u11)
     turn = u00 * v00.conjugate() + u11 * v11.conjugate()
     if abs(turn) <= rounding:
-        turn = u02.conjugate() * v02
-        if abs(turn) <= max(rounding, abs(u20 * v20)):
+        quartic = np.stack([powers[2] * powers[2], powers[2] * x, powers[2], x, powers[0]])
+        table = quartic @ v.mask.astype(float) @ quartic.T   # [q, p]: sum x2^(4-q) x1^(4-p)
+        s4 = float(table[4, 0] + 2.0 * table[2, 2] + table[0, 4])
+        t4 = complex(table[4, 0] - 6.0 * table[2, 2] + table[0, 4],
+                     4.0 * (table[3, 1] - table[1, 3]))
+        det = s4 * s4 - abs(t4) ** 2
+        if det > _DEGENERATE_TOL * s4 * s4:
+            # Conjugated, class -1 turns as class 1 does.
+            field, pattern = (((s4 * (s4 * m02 - t4.conjugate() * m20) / det).conjugate(),)
+                              for m02, m20 in ((v02, v20), (u02, u20)))
+            turn = pattern[0] * field[0].conjugate()
+        if abs(turn) <= rounding:
             raise DegenerateZeroFieldError("no grid moment up to degree 2 answers the two samples")
     alpha = wrap_angle(math.atan2(turn.imag, turn.real))
+    top = max(u_exp, v_exp)   # compared at the larger scale, where the smaller may underflow
+    pattern, field = ([math.ldexp(1.0, e - top) * m for m in ms]
+                      for e, ms in ((u_exp, pattern), (v_exp, field)))
+    unit = turn / abs(turn)
+    gap = math.hypot(*(abs(p - unit * f) for p, f in zip(pattern, field)))
+    size = max(math.hypot(*map(abs, pattern)), math.hypot(*map(abs, field)))
+    status = DetectionStatus.CONVERGED if gap <= cfg.eps * size else DetectionStatus.MAX_ITER_EXCEEDED
     corrected = _when_read(u_exp >= _MAX_EXP, _resampled_copy, u, u_exp, -alpha)
-    return DetectionResult(alpha=alpha, iterations=0, _readings=(),
-                           status=DetectionStatus.CONVERGED, corrected=corrected)
+    return DetectionResult(alpha=alpha, iterations=0, _readings=(), status=status,
+                           corrected=corrected)
 
 
 _ORACLE_GRID = 20001

@@ -44,7 +44,7 @@ PAIRS = 300
 NUMERIC_DIGEST = "720d6f3bda98404f1281a8163bec24c4e8c0543a63d75f778565073f72b9c8bc"
 CLI_DIGEST = "5b5226ce09ff1132ce8c9dfee42970d00177ad2194b9f5b8a4eac486e4f2eb8e"
 PROJECTION_DIGEST = "7cfe529e577da394a19afefbe95b61f5bf39bd5dd9f8823fb6d30e056af7aea5"
-DEGENERATE_DIGEST = "aa53aca4f9d6172ac2498db84d3d22f6a432cb0d4e9efcf2153a6b272b21877c"
+DEGENERATE_DIGEST = "8de9893a925cd74abef7d24e516629ab21748e2194da67a4a833a1083b919b3a"
 SAMPLED_SCALES = (2.0 ** -300, 1e-5, 1.0, 3.7, 2.0 ** 300)
 
 

@@ -923,11 +923,62 @@ def test_detect_sampled_answers_a_flow_beside_a_class_3_term_on_the_square():
             assert abs(wrap_angle(got.alpha - offset)) <= 1e-12
 
 
+def _with_term(field, term):
+    """field plus the complex function term of z = x1 + i x2, as a vector field."""
+    def summed(x1, x2):
+        f1, f2 = field(x1, x2)
+        extra = term(x1 + 1j * x2)
+        return f1 + extra.real, f2 + extra.imag
+
+    return summed
+
+
+def test_detect_sampled_answers_a_winding_beside_a_class_3_term():
+    # conj(z)^2 leaks into M_02 through a four-fold grid (0.43 of it on the
+    # square, 2e-3 on the disk at n = 40), which M_02 alone read as up to
+    # 0.13 rad of error at w = 0.3.  The z^2 coefficient of the fit by z^2
+    # and conj(z)^2 holds none of it, so the winding answers to rounding.
+    cfg = DetectorConfig(eps=1e-8)
+    for domain in (SymmetricDomain.square(1.0), UNIT_DISK):
+        for w in (0.3, 1.0, 4.0):
+            field = _with_term(double_winding(), lambda z, w=w: w * np.conj(z) ** 2)
+            v = sample(field, 40, domain)
+            for offset in (0.4, 1.1, 2.9, -2.2):
+                got = detect_sampled(v, sample(_turned(field, offset), 40, domain), cfg)
+                assert (got.iterations, got.status) == (0, DetectionStatus.CONVERGED)
+                assert abs(wrap_angle(got.alpha - offset)) <= 1e-12, (domain, w, offset)
+
+
+def test_detect_sampled_flags_moments_that_no_turn_matches():
+    # A grid mixes class 3 into class -1 and class -3 into class 1 from
+    # degree 4 on, which no moment up to degree 2 can take out: the answer
+    # is returned, but not as converged.  So is a pattern of another size.
+    cfg = DetectorConfig(eps=1e-8)
+    leaks = [(double_winding(), lambda z: 0.01 * z * np.conj(z) ** 3),
+             (lambda x1, x2: (np.full_like(x1, 0.6), np.full_like(x2, -0.3)),
+              lambda z: 0.01 * z ** 4)]
+    for domain in (SymmetricDomain.square(1.0), UNIT_DISK):
+        for base, term in leaks:
+            field = _with_term(base, term)
+            v = sample(field, 40, domain)
+            for offset in (0.4, 2.9):
+                got = detect_sampled(v, sample(_turned(field, offset), 40, domain), cfg)
+                assert (got.iterations, got.status) == (0, DetectionStatus.MAX_ITER_EXCEEDED)
+                assert abs(wrap_angle(got.alpha - offset)) <= 1e-2
+    for kind, v, u, offset in _degenerate_pairs((0.4, -2.9), n=32):
+        larger = SampledField(u.n, u.domain, 1.5 * u.values, u.mask)
+        got = detect_sampled(v, larger, cfg)
+        assert got.status is DetectionStatus.MAX_ITER_EXCEEDED
+        assert abs(wrap_angle(got.alpha - offset)) <= 1e-12
+
+
 def test_detect_sampled_refuses_pairs_no_moment_answers():
     # A flow against a linear field: the linear field has no class 1 or
     # class -1 moment.  A pure conj(z)^2 pair: its class -1 moment is
-    # only class 3 leaking through the grid, no larger than its class 3
-    # one.  A zero sample on either side.
+    # only class 3 leaking through the grid, which the fit by z^2 and
+    # conj(z)^2 takes out.  The double winding on the square's 2-grid,
+    # whose four cells do not tell z^2 from conj(z)^2.  A zero sample on
+    # either side.
     cfg = DetectorConfig(eps=1e-8)
     flow = lambda x1, x2: (np.full_like(x1, 0.6), np.full_like(x2, -0.3))
     conj_z2 = lambda x1, x2: (x1 * x1 - x2 * x2, -2.0 * x1 * x2)
@@ -937,6 +988,9 @@ def test_detect_sampled_refuses_pairs_no_moment_answers():
         pairs = [(sample(flow, 40, domain), sample(linear, 40)),
                  (sample(linear, 40), sample(_turned(flow, 0.4), 40, domain)),
                  (sample(conj_z2, 40, domain), sample(_turned(conj_z2, 0.4), 40, domain))]
+        if domain.kind == "square":
+            pairs.append((sample(double_winding(), 2, domain),
+                          sample(_turned(double_winding(), 0.4), 2, domain)))
         for sv, su in pairs:
             with pytest.raises(DegenerateZeroFieldError, match="no grid moment"):
                 detect_sampled(sv, su, cfg)
@@ -946,37 +1000,86 @@ def test_detect_sampled_refuses_pairs_no_moment_answers():
             detect_sampled(sample(flow, 40, domain), zero, cfg)
 
 
-def _cut_pairs(offsets):
-    """(v, u, offset): a linear field and its turned copy on the 32-grid of the unit
-    square without its [:8, :8] corner (rows not mirrored) or its [:, :8] columns
-    (rows mirrored, unequal x1 and x2 weights)."""
-    v = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+def _cut_pairs(offsets, field=None):
+    """(v, u, offset): a field (by default a linear one) and its turned copy on the
+    32-grid of the unit square without its [:8, :8] corner (rows not mirrored) or
+    its [:, :8] columns (rows mirrored, unequal x1 and x2 weights)."""
+    if field is None:
+        linear = recompose(Decomposition(0.7, -0.2, 0.5, 0.4))
+        field, turn = linear, lambda t: total_rotate(linear, t)
+    else:
+        turn = lambda t: _turned(field, t)
+    square = SymmetricDomain.square(1.0)
     for cut in (np.s_[:8, :8], np.s_[:, :8]):
         mask = np.ones((32, 32), bool)
         mask[cut] = False
         for offset in offsets:
-            yield (*(SampledField(32, v.domain, np.where(mask[..., None], s.values, 0.0), mask)
-                     for s in (sample(v, 32), sample(total_rotate(v, offset), 32))), offset)
+            yield (*(SampledField(32, square, np.where(mask[..., None], s.values, 0.0), mask)
+                     for s in (sample(f, 32, square) for f in (field, turn(offset)))), offset)
+
+
+def _affine_fit(s: SampledField) -> np.ndarray:
+    """[[c1, c2], [a11, a21], [a12, a22]]: the least-squares fit of s by 1, x1 and x2."""
+    x1, x2 = np.meshgrid(s.centers(), s.centers())
+    design = np.stack([np.ones(np.count_nonzero(s.mask)), x1[s.mask], x2[s.mask]], axis=1)
+    return np.linalg.lstsq(design, s.values[s.mask], rcond=None)[0]
 
 
 def test_detect_sampled_fits_cut_masks_by_least_squares(monkeypatch):
-    # Any mask with two cells off one line through the origin is fitted by
-    # least squares, so a linear pair on a cut mask is fitted exactly and
+    # Any mask with three cells off one line is fitted by least squares
+    # with a constant, so a linear pair on a cut mask is fitted exactly and
     # answered by detect on its projections: 2.3e-8 to 3.0e-8 off, where
     # the resample loop that took these masks before was up to 5.7e-5 off.
+    # The mask's centroid is off the origin, so a linear fit alone gives a
+    # constant flow the rank-one field c g^T, which a turn does not carry
+    # into the turned flow's (turned by 2.8, detect on those capped after
+    # 10,000 readings at 2.8 - pi).  The constant takes the flow whole,
+    # leaving no linear part, and the moments answer the whole turn.
     by_moments = _count_moment_calls(monkeypatch)
     cfg = DetectorConfig(eps=1e-6)
     for sv, su, offset in _cut_pairs((0.4, 1.2, 2.8)):
-        x1, x2 = np.meshgrid(sv.centers(), sv.centers())
-        design = np.stack([x1[sv.mask], x2[sv.mask]], axis=1)
         fit, share, e = _linear_fitter(sv)(sv.values)
-        want = np.linalg.lstsq(design, sv.values[sv.mask], rcond=None)[0]   # [[a11, a21], [a12, a22]]
-        assert np.allclose(np.ldexp(fit.matrix(), e), want.T, rtol=0.0, atol=1e-14)
+        want = _affine_fit(sv)
+        assert np.allclose(want[0], 0.0, rtol=0.0, atol=1e-14)
+        assert np.allclose(np.ldexp(fit.matrix(), e), want[1:].T, rtol=0.0, atol=1e-14)
         assert abs(1.0 - share) <= 1e-14
         got = detect_sampled(sv, su, cfg)
         assert got.converged()
         assert angle_distance_mod_pi(got.alpha, offset) <= 1e-5
         assert vars(got)["_corrected"].func is registration._sampled_copy
+    assert by_moments == []
+    flow = lambda x1, x2: (np.full_like(x1, 0.6), np.full_like(x2, -0.3))
+    for sv, su, offset in _cut_pairs((0.4, 1.2, 2.8), flow):
+        assert _linear_fitter(sv)(sv.values) == (None, 0.0, 0)
+        got = detect_sampled(sv, su, DetectorConfig(eps=1e-8))
+        assert (got.iterations, got.status) == (0, DetectionStatus.CONVERGED)
+        assert abs(wrap_angle(got.alpha - offset)) <= 1e-12
+    assert len(by_moments) == 6
+
+
+def test_detect_sampled_projects_affine_fields_on_cut_masks(monkeypatch):
+    # A constant beside a linear part: the fit takes the constant out and
+    # detect answers on the linear parts, which turn as a linear field
+    # does.  The pattern is not its linear part, so its copy is resampled.
+    by_moments = _count_moment_calls(monkeypatch)
+    cfg = DetectorConfig(eps=1e-8)
+    a11, a12, a21, a22 = recompose(Decomposition(0.7, -0.2, 0.5, 0.4)).coefficients()
+
+    def affine(x1, x2):
+        return a11 * x1 + a12 * x2 + 0.8, a21 * x1 + a22 * x2 - 0.5
+
+    for sv, su, offset in _cut_pairs((0.4, 1.2, 2.8), affine):
+        fit, share, e = _linear_fitter(sv)(sv.values)
+        want = _affine_fit(sv)
+        assert np.allclose(np.ldexp(fit.matrix(), e), want[1:].T, rtol=0.0, atol=1e-13)
+        residual = sv.values - np.where(sv.mask[..., None], _grid_values(
+            fit, sv.centers(), sv.centers(), sv.mask), 0.0)
+        assert math.isclose(1.0 - share, np.sum(residual ** 2) / np.sum(sv.values ** 2),
+                            rel_tol=1e-9)
+        got = detect_sampled(sv, su, cfg)
+        assert got.converged()
+        assert angle_distance_mod_pi(got.alpha, offset) <= 1e-7
+        assert vars(got)["_corrected"].func is registration._resampled_copy
     assert by_moments == []
 
 
@@ -1211,11 +1314,12 @@ def test_the_shared_mask_keeps_its_constants():
     _linear_fitter(su)
     after = cached.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    x, ones_x2, w1, w2, w12 = kept = cached(domain, 48)
+    x, ones_x2, count, s1, s2, w1, w2, w12 = kept = cached(domain, 48)
     want = registration._grid_terms(domain, 48, sv.mask)
     assert [a.tobytes() for a in kept[:2]] == [a.tobytes() for a in want[:2]]
     assert [w.hex() for w in kept[2:]] == [w.hex() for w in want[2:]]
-    assert (w1, w12) == (w2, 0.0)
+    assert count == np.count_nonzero(sv.mask)
+    assert (s1, s2, w1, w12) == (0.0, 0.0, w2, 0.0)
     assert not (x.flags.writeable or ones_x2.flags.writeable)
     writable = sv.mask.copy()
     cut = sv.mask.copy()
@@ -1227,10 +1331,14 @@ def test_the_shared_mask_keeps_its_constants():
         fit = _linear_fitter(other)(other.values)
         assert cached.cache_info() == before
         assert fit[0] is not None
-        terms = registration._grid_terms(domain, 48, mask)
-        assert math.isclose(terms[2], np.sum(np.where(mask, x * x, 0.0)), rel_tol=1e-12)
-        assert math.isclose(terms[3], np.sum(np.where(mask.T, x * x, 0.0)), rel_tol=1e-12)
-        assert terms[4] == 0.0   # its rows still mirror
+        _, _, count, s1, s2, w1, w2, w12 = registration._grid_terms(domain, 48, mask)
+        assert count == np.count_nonzero(mask)
+        assert math.isclose(w1, np.sum(np.where(mask, x * x, 0.0)), rel_tol=1e-12)
+        assert math.isclose(w2, np.sum(np.where(mask.T, x * x, 0.0)), rel_tol=1e-12)
+        # Sums odd in x1 are 0 while the columns mirror, and in x2 while the rows do.
+        want_s1 = 0.0 if mask is writable else float(np.sum(np.where(mask, x, 0.0)))
+        assert math.isclose(s1, want_s1, rel_tol=1e-12) and s1 == 0.0 or mask is cut
+        assert s2 == w12 == 0.0
 
 
 def test_the_kept_constants_let_their_mask_go():
@@ -1404,7 +1512,10 @@ def test_detect_sampled_refuses_during_the_call_a_copy_that_outgrows_its_samples
     # the call; below that, each copy is returned, above its samples, and
     # the projection's waits until it is read.
     cfg = DetectorConfig(eps=1e-6)
-    up = sample(lambda x1, x2: (np.zeros_like(x1), np.ones_like(x2)), 16, UNIT_DISK)
+
+    def up(k):
+        return sample(lambda x1, x2: (np.zeros_like(x1), np.full_like(x2, k)), 16, UNIT_DISK)
+
     field = sample(_turned_flow(1.0, 0.0), 32, UNIT_DISK)
 
     def flow(k):
@@ -1415,11 +1526,13 @@ def test_detect_sampled_refuses_during_the_call_a_copy_that_outgrows_its_samples
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for v, u in ((up, flow(1.3e308)), (field, flow_sum(1.75e308))):
+        for v, u in ((up(1.0), flow(1.3e308)), (field, flow_sum(1.75e308))):
             with pytest.raises(ValueError, match="pattern samples .* too large"):
                 detect_sampled(v, u, cfg)
+        # The moment route converges on a pattern of the field's size.
         returned = [(detect_sampled(v, u, cfg), u, ratio, defers) for v, u, ratio, defers in (
-            (up, flow(1.2e308), 1.414, False), (field, flow_sum(1.2e308), 1.368, False),
+            (up(math.sqrt(2.0) * 1.2e308), flow(1.2e308), 1.414, False),
+            (field, flow_sum(1.2e308), 1.368, False),
             (field, flow_sum(2.0 ** 1016), 1.368, True))]
     for r, u, ratio, defers in returned:
         assert (type(vars(r)["_corrected"]) is registration._Deferred) == defers
@@ -1910,7 +2023,7 @@ def test_detect_sampled_results_compare_by_value_and_do_not_hash():
     assert hash(detect(v, total_rotate(v, 0.4), cfg)) == hash(detect(v, total_rotate(v, 0.4), cfg))
 
 
-def _no_trace(v: SampledField, u: SampledField) -> tuple:
+def _no_trace(v: SampledField, u: SampledField, cfg: DetectorConfig) -> tuple:
     """The moment route's trace: it reads nothing, so it records nothing."""
     return ()
 
