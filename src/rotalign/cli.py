@@ -170,8 +170,7 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     spec = TrialSpec(trials=args.trials, eps=args.eps, seed=args.seed,
-                     coeff_bound=args.coeff_bound, max_iter=args.max_iter,
-                     coefficient_space=args.coeff_space)
+                     max_iter=args.max_iter, coefficient_space=args.coeff_space)
     report = run_campaign(spec)
     fmt = args.format or ("csv" if args.out and args.out.endswith(".csv") else "json")
     if fmt == "csv":
@@ -247,7 +246,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coeff-bound", type=float, default=1.0)
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--coeff-space", action="store_true",
                    help="draw basis coefficients instead of matrix entries")

@@ -1,12 +1,16 @@
 """Randomized detection campaigns with seeded, reproducible statistics.
 
 Each trial draws an offset angle uniformly on (-pi, pi] and a field
-with all four matrix coefficients uniform on [-bound, bound] (the
+with all four matrix coefficients uniform on [-1, 1] (the
 coefficient-space switch draws the basis coordinates instead), builds
 the rotated copy, runs detection, rotates the copy back by the
 estimate, and scores the root of the summed squared coefficient
 differences against the original field.  Scoring in coefficient space
-sidesteps the half-turn ambiguity of the angle itself.
+sidesteps the half-turn ambiguity of the angle itself.  Detection
+reads only the argument of the correlation, which a common scale on
+both fields leaves unchanged, so draws on [-b, b] would give the same
+counts and iterations with every error b times as large: the unit
+scale loses nothing.
 
 Randomness comes from numpy's default PCG64 generator.  Every trial
 gets its own stream seeded by (campaign seed, trial index), so a
@@ -42,6 +46,7 @@ from .fields import (
     LinearField,
     _conjugate,
     _entries,
+    _integer,
     recompose,
     second_moment,
     total_rotate,
@@ -52,7 +57,6 @@ from .registration import (
     DetectionStatus,
     DetectorConfig,
     _detect_all,
-    _integer,
     _mapped,
     detect,
 )
@@ -74,7 +78,6 @@ class TrialSpec:
     trials: int
     eps: float
     seed: int
-    coeff_bound: float = 1.0
     max_iter: int = 10000
     coefficient_space: bool = False
 
@@ -84,11 +87,6 @@ class TrialSpec:
             raise ValueError(f"trials must be between 1 and 2**32, got {self.trials!r}")
         if _integer("seed", self.seed) < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        # Generator.uniform needs 2 * bound finite, and decomposing a rotated
-        # copy sums entries up to 2 * sqrt(2) * bound: 4 * bound covers both.
-        if not (self.coeff_bound > 0.0 and math.isfinite(4.0 * self.coeff_bound)):
-            raise ValueError(f"coeff_bound must be positive and four times it finite, "
-                             f"got {self.coeff_bound!r}")
         DetectorConfig(eps=self.eps, max_iter=self.max_iter)
 
 
@@ -152,10 +150,10 @@ def report_csv_header() -> list:
             "converged_fraction", "trials", "seed"]
 
 
-def _draw_field(rng: np.random.Generator, bound: float, coefficient_space: bool) -> tuple:
-    """Draw (angle, field): angle on (-pi, pi], coefficients on [-bound, bound]."""
+def _draw_field(rng: np.random.Generator, coefficient_space: bool) -> tuple:
+    """Draw (angle, field): angle on (-pi, pi], coefficients on [-1, 1]."""
     angle = math.pi - 2.0 * math.pi * rng.random()
-    coeffs = rng.uniform(-bound, bound, size=4)
+    coeffs = rng.uniform(-1.0, 1.0, size=4)
     if coefficient_space:
         field = recompose(Decomposition(*coeffs))
     else:
@@ -167,28 +165,16 @@ def _errors(diffs: np.ndarray) -> np.ndarray:
     """Root of the summed squared coefficient differences, per column of diffs.
 
     Squares are taken with ``pow``, as ``x ** 2`` on a numpy float does.
-    Where the sum leaves the normal float range while a difference is
-    nonzero, that trial's differences are scaled by a power of two
-    first, so fields near either end of the float range score their
-    true error rather than inf or 0.
+    Fields drawn on [-1, 1] keep these sums far inside the float range.
     """
-    with np.errstate(over="ignore"):
-        squares = np.float_power(diffs, 2.0)
-    total = squares[0] + squares[1] + squares[2] + squares[3]
-    errors = np.sqrt(total)
-    odd = ~((total >= _NORMAL_MIN) & (total < math.inf)) & (diffs != 0.0).any(axis=0)
-    if odd.any():
-        shift = np.frexp(np.abs(diffs[:, odd]).max(axis=0))[1]
-        squares = np.float_power(np.ldexp(diffs[:, odd], -shift), 2.0)
-        errors[odd] = np.ldexp(np.sqrt(squares[0] + squares[1] + squares[2] + squares[3]),
-                               shift)
-    return errors
+    squares = np.float_power(diffs, 2.0)
+    return np.sqrt(squares[0] + squares[1] + squares[2] + squares[3])
 
 
-def run_trial(rng: np.random.Generator, eps: float, coeff_bound: float = 1.0,
-              max_iter: int = 10000, coefficient_space: bool = False) -> TrialOutcome:
+def run_trial(rng: np.random.Generator, eps: float, max_iter: int = 10000,
+              coefficient_space: bool = False) -> TrialOutcome:
     """One randomized draw-rotate-detect-score round; the reference for ``run_campaign``."""
-    angle, field = _draw_field(rng, coeff_bound, coefficient_space)
+    angle, field = _draw_field(rng, coefficient_space)
     copy = total_rotate(field, angle)
     try:
         result = detect(field, copy, DetectorConfig(eps=eps, max_iter=max_iter))
@@ -206,7 +192,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_LIMBS = [np.uint64(_PCG64_MULT >> (32 * k) & _MASK32) for k in range(4)]
-_NORMAL_MIN = 2.0 ** -1022
 
 
 def _words(value: int) -> list:
@@ -241,7 +226,7 @@ def _pcg64_step(state: list, inc: list) -> list:
     return _carry(columns)
 
 
-def _trial_draws(seed: int, n: int, bound: float) -> tuple:
+def _trial_draws(seed: int, n: int) -> tuple:
     """(angle, coeffs) of trials 0..n-1, bit for bit what ``_draw_field`` takes
     from ``np.random.default_rng([seed, index])``.
 
@@ -249,8 +234,10 @@ def _trial_draws(seed: int, n: int, bound: float) -> tuple:
     SeedSequence's hash of [seed, index] in uint32 (indices must fit one
     word, so n <= 2**32), then PCG64's seeding and its first five
     outputs in 128-bit arithmetic on four 32-bit limbs.  The outputs
-    become doubles the way ``Generator.random`` forms them.  ``coeffs``
-    has one row per matrix entry (or basis coordinate).
+    become doubles the way ``Generator.random`` forms them, and the
+    coefficients are mapped to [-1, 1] as ``Generator.uniform`` maps
+    them (low + (high - low) * draw).  ``coeffs`` has one row per matrix
+    entry (or basis coordinate).
     """
     index = np.arange(n, dtype=np.uint32)
     entropy = [np.full(1, w, dtype=np.uint32) for w in _words(seed)] + [index]
@@ -300,8 +287,7 @@ def _trial_draws(seed: int, n: int, bound: float) -> tuple:
         rotation = high >> 58
         x = x >> rotation | x << (64 - rotation & 63)
         draws.append((x >> 11) * 2.0 ** -53)
-    low = -bound
-    return math.pi - 2.0 * math.pi * draws[0], low + (bound - low) * np.array(draws[1:])
+    return math.pi - 2.0 * math.pi * draws[0], -1.0 + 2.0 * np.array(draws[1:])
 
 
 def _outcomes(spec: TrialSpec) -> tuple:
@@ -312,8 +298,7 @@ def _outcomes(spec: TrialSpec) -> tuple:
     together as arrays.  ``live`` marks the trials that are not
     degenerate; the other three arrays hold those trials, in order.
     """
-    angle, coeffs = _trial_draws(operator.index(spec.seed), spec.trials,
-                                 spec.coeff_bound)
+    angle, coeffs = _trial_draws(operator.index(spec.seed), spec.trials)
     field = _entries(*coeffs) if spec.coefficient_space else tuple(coeffs)
     copy = _conjugate(np.cos(angle), np.sin(angle), *field)
     live, applied, iterations, capped = _detect_all(field, copy, second_moment(UNIT_SQUARE),
@@ -333,15 +318,7 @@ def run_campaign(spec: TrialSpec) -> ExperimentReport:
     completed = len(all_errors)
 
     def avg(values: list) -> float:
-        if not values:
-            return math.nan
-        total = sum(values)
-        if total < math.inf:
-            return total / len(values)
-        # Finite errors whose sum overflows: add them scaled down by a power
-        # of two that keeps count * largest error in range.
-        shift = len(values).bit_length()
-        return sum(math.ldexp(x, -shift) for x in values) / len(values) * 2.0 ** shift
+        return sum(values) / len(values) if values else math.nan
 
     return ExperimentReport(
         eps=spec.eps,

@@ -149,15 +149,16 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Stopping accuracy eps (finite, above the 1e-9 branch tolerance) and iteration cap."""
+    """Stopping accuracy eps (above the 1e-9 branch tolerance, below pi) and iteration cap."""
 
     eps: float = 1e-6
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not _ZERO_TOL < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and exceed the branch tolerance {_ZERO_TOL!r}, "
-                             f"got {self.eps!r}")
+        # Readings lie in (-pi, pi], so an eps of pi or more stops on none.
+        if not _ZERO_TOL < self.eps < math.pi:
+            raise ValueError(f"eps must be finite, exceed the branch tolerance {_ZERO_TOL!r} "
+                             f"and be below pi, got {self.eps!r}")
         if _integer("max_iter", self.max_iter) < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 

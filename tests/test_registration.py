@@ -264,6 +264,10 @@ def test_detect_input_validation():
         DetectorConfig(eps=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(eps=1e-10)  # at or below the 1e-9 branch tolerance
+    for eps in (math.pi, 3.2):  # readings lie in (-pi, pi], so none would stop the loop
+        with pytest.raises(ValueError, match="below pi"):
+            DetectorConfig(eps=eps)
+    assert DetectorConfig(eps=np.nextafter(math.pi, 0.0)).eps < math.pi
     with pytest.raises(ValueError):
         DetectorConfig(eps=1e-6, max_iter=0)
     with pytest.raises(ValueError):
@@ -1081,6 +1085,19 @@ def test_detect_sampled_projects_affine_fields_on_cut_masks(monkeypatch):
         assert angle_distance_mod_pi(got.alpha, offset) <= 1e-7
         assert vars(got)["_corrected"].func is registration._resampled_copy
     assert by_moments == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9, a double winding on a cut mask: off "
+                   "the origin's symmetry the winding has a linear part, so it takes the "
+                   "projection route, where nothing asks whether the pattern is a turned copy")
+def test_detect_sampled_does_not_misanswer_a_winding_on_a_cut_mask():
+    square = SymmetricDomain.square(1.0)
+    mask = np.ones((32, 32), bool)
+    mask[:8, :8] = False
+    v, u = (SampledField(32, square, np.where(mask[..., None], sample(
+        double_winding(t), 32, square).values, 0.0), mask) for t in (0.0, 0.4))
+    got = detect_sampled(v, u, DetectorConfig(eps=1e-6))
+    assert not got.converged() or abs(wrap_angle(got.alpha - 0.4)) <= 1e-6
 
 
 @pytest.mark.parametrize("domain", [SymmetricDomain.square(1.0), SymmetricDomain.disk(2.5)])
