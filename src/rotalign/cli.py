@@ -3,13 +3,17 @@
 Machine output (``--json`` and report files) sticks to radians; human
 output shows degrees alongside.  Exit codes: 0 on success (detection
 converged), 2 when detection hits the iteration cap, 1 on usage errors
-or bad input.
+or bad input.  Report and sample files are written over in place (see
+``fields._rewrite``): an existing file keeps its inode, mode and links
+and is cut to the new length, so a crash mid-write can leave a mix of
+the old and new bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -32,6 +36,7 @@ from .fields import (
     sample,
     total_rotate,
     write_samples_csv,
+    _rewrite,
 )
 from .registration import DetectionStatus, DetectorConfig, detect
 
@@ -180,7 +185,7 @@ def _cmd_experiment(args) -> int:
     else:
         text = report.to_json()
     if args.out:
-        with open(args.out, "w", newline="") as handle:
+        with _rewrite(args.out) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -213,6 +218,7 @@ def _add_field_options(parser, with_counterpart: bool = True) -> None:
         parser.add_argument("--pattern-file", help="counterpart field JSON file")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rotalign",
                      description="Rotation alignment of 2D linear vector fields "

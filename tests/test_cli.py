@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -238,27 +239,122 @@ def test_detect_orthogonal_fields_exits_one(tmp_path, capsys):
     assert "no turn correlates" in err and err.count("\n") == 1
 
 
+def _existing_outputs(tmp_path, suffix):
+    """Paths that already hold a longer and a shorter file than any output here.
+
+    Each has a mode and a second hard link, so a rewrite in place can be told
+    from a new file; `_assert_rewritten` checks that after the command.
+    """
+    made = []
+    for name, prior in (("longer", b"J" * 10240), ("shorter", b"J")):
+        path = tmp_path / (name + suffix)
+        path.write_bytes(prior)
+        path.chmod(0o640)
+        os.link(path, tmp_path / (name + ".link"))
+        made.append((path, os.stat(path)))
+    return made
+
+
+def _assert_rewritten(existing, expected: bytes):
+    for path, before in existing:
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+        assert path.read_bytes() == expected
+        assert path.with_suffix(".link").read_bytes() == expected
+
+
 def test_experiment_round_trips_and_is_reproducible(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    for path in (out1, out2):
+    existing = _existing_outputs(tmp_path, ".json")
+    for path in (out1, out2, *(path for path, _ in existing)):
         code, _, _ = run_cli(capsys, "experiment", "--trials", "50", "--eps", "0.01",
                              "--seed", "7", "--out", str(path))
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+    _assert_rewritten(existing, out1.read_bytes())
     payload = json.loads(out1.read_text())
     assert payload["trials"] == 50
     assert payload["seed"] == 7
+    # A new report gets the mode that open(path, "w") gives a new file.
+    with open(tmp_path / "reference", "w"):
+        pass
+    assert out1.stat().st_mode == (tmp_path / "reference").stat().st_mode
 
 
 def test_experiment_csv_format(tmp_path, capsys):
     path = tmp_path / "report.csv"
-    code, _, _ = run_cli(capsys, "experiment", "--trials", "30", "--eps", "0.05",
-                         "--seed", "9", "--out", str(path))
-    assert code == 0
+    existing = _existing_outputs(tmp_path, ".csv")
+    for out in (path, *(out for out, _ in existing)):
+        code, _, _ = run_cli(capsys, "experiment", "--trials", "30", "--eps", "0.05",
+                             "--seed", "9", "--out", str(out))
+        assert code == 0
+    _assert_rewritten(existing, path.read_bytes())
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("eps,avg_error,max_error,avg_iterations")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_experiment_out_to_a_device_exits_zero(tmp_path, capsys, fmt):
+    # Neither is a regular file, so there is nothing to cut to length.
+    argv = ("experiment", "--trials", "5", "--eps", "0.1", "--format", fmt)
+    assert run_cli(capsys, *argv, "--out", os.devnull) == (0, "", "")
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(capsys, *argv, "--out", str(fifo)) == (0, "", "")
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0 and written == stdout.encode()
+
+
+def test_experiment_out_over_a_read_only_report_exits_one(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_text("old report")
+    out.chmod(0o444)
+    if os.access(out, os.W_OK):
+        # A privileged user writes past mode bits; refuse as the kernel
+        # refuses everyone else.
+        real_open = os.open
+
+        def refusing_open(path, flags, *args, **kwargs):
+            if os.fspath(path) == str(out) and flags & (os.O_WRONLY | os.O_RDWR):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing_open)
+    code, stdout, err = run_cli(capsys, "experiment", "--trials", "5", "--eps", "0.1",
+                                "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("rotalign: error:") and err.count("\n") == 1
+    assert out.read_text() == "old report"
+
+
+def test_output_files_are_opened_without_truncation(tmp_path, capsys, monkeypatch):
+    # Truncating an existing report on open stalled each `experiment --out`
+    # for tens of ms; the writer opens without O_TRUNC and cuts at the end.
+    report, samples, rotated = (tmp_path / name for name in ("r.json", "s.csv", "t.csv"))
+    flags_seen = {}
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        flags_seen.setdefault(os.fspath(path), []).append(flags)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert run_cli(capsys, "experiment", "--trials", "5", "--eps", "0.1",
+                   "--out", str(report))[0] == 0
+    assert run_cli(capsys, "sample", "--field", "1,0,0,-1", "--n", "4", "--alpha", "0.4",
+                   "--out", str(samples), "--rotated-out", str(rotated))[0] == 0
+    for path in (report, samples, rotated):
+        calls = flags_seen.get(str(path), [])
+        assert calls, f"{path.name} was not opened through os.open"
+        assert not any(flags & os.O_TRUNC for flags in calls)
 
 
 @pytest.mark.parametrize("option, value", [
@@ -324,6 +420,11 @@ def test_sample_field_with_rotated_copy(tmp_path, capsys):
     assert len(path.read_text().strip().splitlines()) == 65
     # a pure source is invariant under total rotation
     assert rotated.read_text() == path.read_text()
+    existing = _existing_outputs(tmp_path, ".csv")
+    for out, _ in existing:
+        assert run_cli(capsys, "sample", "--field", "1,0,0,1", "--n", "8",
+                       "--out", str(out))[0] == 0
+    _assert_rewritten(existing, path.read_bytes())
 
 
 def test_usage_errors_exit_one(capsys):
